@@ -7,6 +7,8 @@ provide the threshold policies, an automatic contamination-level tuner,
 adversarial data generators, evaluation metrics, and a Monte-Carlo harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ArcCpdError,
     ChangePointSet,
@@ -36,6 +38,7 @@ from .detector import (
     RunSummary,
     SimulationDefaultLambda,
     TheoreticalLambda,
+    baseline_scan,
     detect,
     detect_repeated,
     local_maximizers,
@@ -83,7 +86,6 @@ from .tune import (
 from .bench import (
     BenchRow,
     ExperimentGrid,
-    baseline_scan,
     phase_sweep,
     rows_to_csv,
     rows_to_json,
@@ -92,4 +94,7 @@ from .bench import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name bound above; importing them also binds the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

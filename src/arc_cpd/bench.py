@@ -23,29 +23,19 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    ArcCpdError,
-    ChangePointSet,
-    DetectionConfig,
-    RunReport,
-    SeriesTooShort,
-    TimeSeries,
-    mad_sigma,
-    substream,
-)
+from .core import ArcCpdError, ChangePointSet, DetectionConfig, substream
 from .detector import (
     DEFAULT_C_LAMBDA,
     SimulationDefaultLambda,
     TheoreticalLambda,
-    _local_max_mask,
+    baseline_scan,
     detect,
 )
 from .metrics import hausdorff
@@ -66,7 +56,6 @@ __all__ = [
     "phase_sweep",
     "preset_table_d1",
     "preset_table_sensitivity",
-    "resolve_threads",
 ]
 
 _METHODS = ("arc", "aarc", "baseline")
@@ -181,55 +170,14 @@ class BenchRow:
     skipped: Optional[str] = None
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Explicit value, else the ARC_CPD_THREADS variable, else 1."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
-    raw = os.environ.get("ARC_CPD_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"ARC_CPD_THREADS is not an integer: {raw!r}")
-        if value < 1:
-            raise ValueError("ARC_CPD_THREADS must be >= 1")
-        return value
-    return 1
-
-
-def baseline_scan(series: TimeSeries, config: DetectionConfig) -> RunReport:
-    """Non-robust control: plain window means, fixed classical threshold.
-
-    Uses config's h, maximizer radius, sigma and seed bookkeeping; the
-    contamination level, delta, and lambda policy are ignored by design.
-    """
-    x = series.values
-    n = x.size
-    h = config.h
-    if n < 4 * h:
-        raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {n}")
-    sigma = config.sigma if config.sigma is not None else mad_sigma(series)
-    lam = 3.0 * sigma * math.sqrt(math.log(n) / h)
-
-    sums = np.concatenate(([0.0], np.cumsum(x)))
-    js = np.arange(2 * h, n - 2 * h + 1)
-    left = (sums[js] - sums[js - 2 * h]) / (2 * h)
-    right = (sums[js + 2 * h] - sums[js]) / (2 * h)
-    curve = np.abs(right - left)
-
-    radius = config.maximizer_radius or 4 * h
-    mask = _local_max_mask(curve, radius)
-    detected = js[0] + np.flatnonzero(mask & (curve > lam))
-    return RunReport(
-        scan_curve={int(j): float(v) for j, v in zip(js, curve)},
-        estimated=ChangePointSet(tuple(int(j) for j in detected), n),
-        degenerate_windows=0,
-        lambda_used=lam,
-        epsilon_effective=0.0,
-        seed_used=config.seed,
-    )
+def _fan_out(fn: Callable, items: Sequence, threads: int) -> list:
+    """[fn(x) for x in items] on up to `threads` worker threads, in order."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _cell_sigma(cell: GridCell) -> float:
@@ -362,29 +310,33 @@ def _run_cell(grid: ExperimentGrid, cell: GridCell) -> List[BenchRow]:
     return rows
 
 
-def run_grid(grid: ExperimentGrid,
-             threads: Optional[int] = None) -> List[BenchRow]:
+def run_grid(grid: ExperimentGrid, threads: int = 1) -> List[BenchRow]:
     """All rows of a grid in canonical cell order, one per (cell, method)."""
-    workers = resolve_threads(threads)
-    cells = grid.cells()
-    if workers <= 1 or len(cells) <= 1:
-        nested = [_run_cell(grid, c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(lambda c: _run_cell(grid, c), cells))
+    nested = _fan_out(lambda c: _run_cell(grid, c), grid.cells(), threads)
     return [row for rows in nested for row in rows]
 
 
-def _csv_num(x) -> str:
-    if x is None:
-        return ""
+def _json_safe(x):
+    """x with non-finite floats as "nan" / "inf" / "-inf" strings and dict
+    keys as strings, through nested dicts, lists and tuples."""
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return format(x, ".6g")
-    return str(x)
+        return x
+    if isinstance(x, dict):
+        return {str(k): _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def _csv_num(x) -> str:
+    if x is None:
+        return ""
+    x = _json_safe(x)
+    return format(x, ".6g") if isinstance(x, float) else str(x)
 
 
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:
@@ -399,23 +351,9 @@ def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     return out.getvalue()
 
 
-def _json_safe(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-    if isinstance(x, dict):
-        return {str(k): _json_safe(v) for k, v in x.items()}
-    return x
-
-
 def rows_to_json(rows: Sequence[BenchRow]) -> str:
-    payload = []
-    for r in rows:
-        d = {k: _json_safe(v) for k, v in r.__dict__.items()}
-        payload.append(d)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps([_json_safe(r.__dict__) for r in rows], indent=2,
+                      sort_keys=True)
 
 
 def phase_sweep(n: int, L: int, epsilon: float,
@@ -423,7 +361,7 @@ def phase_sweep(n: int, L: int, epsilon: float,
                 sigma: float = 1.0, h: Optional[int] = None,
                 c_lambda: float = 3.0,
                 master_seed: int = 0,
-                threads: Optional[int] = None) -> List[Tuple[float, float]]:
+                threads: int = 1) -> List[Tuple[float, float]]:
     """Empirical success probability of exact recovery per jump size.
 
     Truth places a change every L points with segment means alternating
@@ -467,12 +405,7 @@ def phase_sweep(n: int, L: int, epsilon: float,
                 wins += 1
         return (kappa / sigma, wins / reps)
 
-    workers = resolve_threads(threads)
-    idx = range(len(kappa_grid))
-    if workers <= 1 or len(kappa_grid) <= 1:
-        return [one_kappa(i) for i in idx]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_kappa, idx))
+    return _fan_out(one_kappa, range(len(kappa_grid)), threads)
 
 
 # Spurious-attack table: (epsilon, blocks, sigma) rows at n = 5000, 2h = 340

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -26,10 +25,10 @@ import numpy as np
 
 from .bench import (
     ExperimentGrid,
+    _json_safe,
     preset_table_d1,
     preset_table_sensitivity,
     phase_sweep,
-    resolve_threads,
     rows_to_csv,
     rows_to_json,
     run_grid,
@@ -99,20 +98,6 @@ def read_series(path: str) -> TimeSeries:
                     f"{path}:{lineno}: not a number: {token!r}") from None
     return TimeSeries(np.asarray(values, dtype=np.float64),
                       name=os.path.basename(path))
-
-
-def _json_safe(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(x, dict):
-        return {str(k): _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -297,8 +282,8 @@ def cmd_simulate(args) -> int:
         "preset": args.preset,
         "n": spec.n,
         "seed": spec.seed,
-        "params": _json_safe(
-            {k: v for k, v in spec.variant.__dict__.items() if k != "base"}),
+        "params": {k: v for k, v in spec.variant.__dict__.items()
+                   if k != "base"},
         "truth_F": list(ls.truth_f.locations),
         "truth_EY": list(ls.truth_ey.locations),
         "mask": {
@@ -306,9 +291,7 @@ def cmd_simulate(args) -> int:
             "fraction": float(mask.mean()),
         },
     }
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_json_safe(payload), indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _emit_json(payload, truth_path)
     print(f"wrote {data_path} and {truth_path}")
     return 0
 
@@ -334,7 +317,6 @@ def _grid_from_json(path: str) -> ExperimentGrid:
 
 
 def cmd_bench(args) -> int:
-    threads = resolve_threads(args.threads)
     if args.grid:
         grids = [_grid_from_json(args.grid)]
     elif args.paper_table == "d1":
@@ -347,7 +329,7 @@ def cmd_bench(args) -> int:
                        (0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0))
         points = phase_sweep(n=5000, L=1250, epsilon=0.1, kappa_grid=kappas,
                              reps=args.reps, master_seed=args.seed,
-                             threads=threads)
+                             threads=args.threads)
         lines = ["kappa_over_sigma,success_rate"]
         lines += [f"{format(k, '.6g')},{format(r, '.6g')}"
                   for k, r in points]
@@ -360,7 +342,7 @@ def cmd_bench(args) -> int:
 
     rows = []
     for grid in grids:
-        rows.extend(run_grid(grid, threads=threads))
+        rows.extend(run_grid(grid, threads=args.threads))
     csv_text = rows_to_csv(rows)
     if args.out:
         _write_text(args.out, csv_text)
@@ -459,9 +441,9 @@ def _build_parser() -> _Parser:
                        default=None)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default ARC_CPD_THREADS or 1); "
-                        "results do not depend on it")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker thread cap (default 1); results do not "
+                        "depend on it")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--json-out", default=None,
                    help="also write the full JSON mirror here")

@@ -7,7 +7,8 @@ For every scan index j in {2h, ..., n-2h} the statistic is
 with both window means computed by the contamination-robust estimator in
 :mod:`arc_cpd.rume`. Estimated change points are the scan indices that are
 local maximizers of D within a +-radius neighborhood (default radius 4h) and
-whose value strictly exceeds the threshold lambda.
+whose value strictly exceeds the threshold lambda. baseline_scan, the
+non-robust control, runs the same steps on plain window means.
 
 Each window owns a named substream (left window of j uses stream id 2j, the
 right one 2j+1), so the scan can be evaluated in any order, in parallel or
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,7 +38,7 @@ from .core import (
     mad_sigma,
     substream,
 )
-from .rume import effective_epsilon, trimming_span
+from .rume import _may_overflow, effective_epsilon, trimming_span
 
 __all__ = [
     "ManualLambda",
@@ -53,6 +54,7 @@ __all__ = [
     "scan_statistic",
     "local_maximizers",
     "detect",
+    "baseline_scan",
     "detect_repeated",
     "recommend_h",
 ]
@@ -185,10 +187,18 @@ def _rume_batch(windows: np.ndarray, stream_ids: np.ndarray, seed: int,
 
         inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
         kept = inside.sum(axis=1)
-        sums = np.where(inside, z_held, 0.0).sum(axis=1)
+        count = np.maximum(kept, 1)
+        # rows that could overflow sum pre-divided terms and halve before
+        # adding; elsewhere (half = 1) the plain formulas keep their bits
+        big = _may_overflow(ws[:, 0], ws[:, -1], width)
+        if big.any():
+            z_held[big] /= count[big, None]
+        means = (np.where(inside, z_held, 0.0).sum(axis=1) /
+                 np.where(big, 1, count))
+        half = np.where(big, 0.5, 1.0)
+        mids = (half * ws[:, h - 1] + half * ws[:, h]) * (0.5 / half)
         bad = kept == 0
-        est = np.where(bad, 0.5 * (ws[:, h - 1] + ws[:, h]),
-                       sums / np.maximum(kept, 1))
+        est = np.where(bad, mids, means)
         estimates[start:stop] = est
         degenerate[start:stop] = bad
     return estimates, degenerate
@@ -199,8 +209,8 @@ def _resolve_delta(config: DetectionConfig, n: int) -> float:
 
 
 def _scan_arrays(series: TimeSeries, config: DetectionConfig,
-                 mirror_ids: bool = False):
-    """Scan curve as (start index, values, degenerate count).
+                 mirror_ids: bool = False) -> Tuple[np.ndarray, int]:
+    """Robust scan curve over j = 2h..n-2h and its degenerate window count.
 
     mirror_ids swaps the left/right stream id roles and reverses the id
     axis; it exists for the reversed-series reflection property.
@@ -208,8 +218,6 @@ def _scan_arrays(series: TimeSeries, config: DetectionConfig,
     x = series.values
     n = x.size
     h = config.h
-    if n < 4 * h:
-        raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {n}")
     delta = _resolve_delta(config, n)
     try:
         span = trimming_span(h, config.epsilon, delta)
@@ -230,13 +238,19 @@ def _scan_arrays(series: TimeSeries, config: DetectionConfig,
     right_est, right_bad = _rume_batch(view[js], right_ids,
                                        config.seed, span)
     curve = np.abs(right_est - left_est)
-    return int(js[0]), curve, int(left_bad.sum() + right_bad.sum())
+    return curve, int(left_bad.sum() + right_bad.sum())
+
+
+def _check_length(series: TimeSeries, h: int) -> None:
+    if series.n < 4 * h:
+        raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {series.n}")
 
 
 def scan_statistic(series: TimeSeries, config: DetectionConfig) -> Dict[int, float]:
     """Map each scan index j in {2h, ..., n-2h} to the statistic value."""
-    j0, curve, _ = _scan_arrays(series, config)
-    return {j0 + i: float(v) for i, v in enumerate(curve)}
+    _check_length(series, config.h)
+    curve, _ = _scan_arrays(series, config)
+    return {2 * config.h + i: float(v) for i, v in enumerate(curve)}
 
 
 def _local_max_mask(values: np.ndarray, radius: int) -> np.ndarray:
@@ -289,31 +303,65 @@ def _resolve_sigma(series: TimeSeries, config: DetectionConfig) -> float:
             f"automatic scale estimate failed: {err}") from err
 
 
-def detect(series: TimeSeries, config: DetectionConfig,
-           _mirror_ids: bool = False) -> RunReport:
-    """One full detection run: scan, find maximizers, threshold strictly."""
-    n = series.n
-    delta = _resolve_delta(config, n)
-    eps_eff = effective_epsilon(config.epsilon, delta, config.h)
-    sigma = _resolve_sigma(series, config)
-    lam = resolve_lambda(config.lambda_policy, sigma=sigma,
-                         epsilon=config.epsilon, epsilon_eff=eps_eff,
-                         h=config.h, n=n)
+def _scan_report(series: TimeSeries, config: DetectionConfig,
+                 threshold: Callable[[float], float],
+                 scan: Callable[[], Tuple[np.ndarray, int]],
+                 epsilon_effective: float) -> RunReport:
+    """The steps every scan shares around its statistic.
+
+    threshold maps the noise scale to lambda; scan() returns the curve over
+    j = 2h..n-2h and its degenerate window count. Detections are the local
+    maximizers strictly above lambda.
+    """
+    h = config.h
+    lam = threshold(_resolve_sigma(series, config))
     if lam <= 0:
         raise LambdaResolutionFailure(f"resolved lambda {lam} is not positive")
-
-    j0, curve, degenerate = _scan_arrays(series, config, mirror_ids=_mirror_ids)
-    radius = config.maximizer_radius or 4 * config.h
-    mask = _local_max_mask(curve, radius)
-    detected = j0 + np.flatnonzero(mask & (curve > lam))
+    _check_length(series, h)
+    curve, degenerate = scan()
+    radius = config.maximizer_radius or 4 * h
+    detected = 2 * h + np.flatnonzero(_local_max_mask(curve, radius) &
+                                      (curve > lam))
     return RunReport(
-        scan_curve={j0 + i: float(v) for i, v in enumerate(curve)},
-        estimated=ChangePointSet(tuple(int(j) for j in detected), n),
+        scan_curve={2 * h + i: float(v) for i, v in enumerate(curve)},
+        estimated=ChangePointSet(tuple(int(j) for j in detected), series.n),
         degenerate_windows=degenerate,
         lambda_used=lam,
-        epsilon_effective=eps_eff,
+        epsilon_effective=epsilon_effective,
         seed_used=config.seed,
     )
+
+
+def detect(series: TimeSeries, config: DetectionConfig) -> RunReport:
+    """One full detection run: scan, find maximizers, threshold strictly."""
+    n, h = series.n, config.h
+    eps_eff = effective_epsilon(config.epsilon, _resolve_delta(config, n), h)
+    return _scan_report(
+        series, config,
+        lambda sigma: resolve_lambda(config.lambda_policy, sigma=sigma,
+                                     epsilon=config.epsilon,
+                                     epsilon_eff=eps_eff, h=h, n=n),
+        lambda: _scan_arrays(series, config), eps_eff)
+
+
+def baseline_scan(series: TimeSeries, config: DetectionConfig) -> RunReport:
+    """Non-robust control: plain window means, fixed classical threshold.
+
+    Uses config's h, maximizer radius, sigma and seed bookkeeping; the
+    contamination level, delta, and lambda policy are ignored by design.
+    """
+    n, h = series.n, config.h
+
+    def scan() -> Tuple[np.ndarray, int]:
+        sums = np.concatenate(([0.0], np.cumsum(series.values)))
+        js = np.arange(2 * h, n - 2 * h + 1)
+        left = (sums[js] - sums[js - 2 * h]) / (2 * h)
+        right = (sums[js + 2 * h] - sums[js]) / (2 * h)
+        return np.abs(right - left), 0
+
+    return _scan_report(series, config,
+                        lambda sigma: 3.0 * sigma * math.sqrt(math.log(n) / h),
+                        scan, 0.0)
 
 
 def _summary(report: RunReport) -> RunSummary:
@@ -380,6 +428,12 @@ def recommend_h(n: int, epsilon: float, kappa_over_sigma: float,
     Returns an inclusive integer interval (both strict bounds already
     applied), intersected with [2, n // 4], or None when the regime admits
     no consistent window choice.
+
+    The bounds are sufficient, not necessary: None does not mean detection
+    fails. At epsilon = 0.1 and kappa / sigma >= 0.76 the strict bounds
+    10 * C' * log(n) and C' * log(n) / epsilon coincide, so this returns
+    None for every n; yet in the README quick start (n = 5000, epsilon =
+    0.1, kappa / sigma = 1) h = 170 recovers all three changes.
     """
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")

@@ -23,6 +23,9 @@ contamination. Given a window of 2h values and a failure level delta in
    point falls inside, fall back to the median of the full window and flag
    the outcome as degenerate.
 
+Windows whose extremes could overflow a sum of 2h terms take the mean as a
+sum of pre-divided terms and the median as 0.5*a + 0.5*b.
+
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
 sigma * sqrt(eps_eff).
@@ -78,6 +81,19 @@ class RumeOutcome:
     interval: Tuple[float, float]
     kept_count: int
     degenerate: bool
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _may_overflow(lowest, highest, width: int):
+    """Whether a sum of `width` terms within [lowest, highest] can overflow.
+
+    Elementwise on arrays; shared by the scalar and batch estimators so both
+    pick the same arithmetic for every window.
+    """
+    bound = _FLOAT_MAX / width
+    return (lowest < -bound) | (highest > bound)
 
 
 def effective_epsilon(epsilon: float, delta: float, h: int) -> float:
@@ -189,9 +205,17 @@ def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOut
     (low, high), _ = shorth_interval(z, d)
     inside = (z_held >= low) & (z_held <= high)
     kept = int(inside.sum())
+    big = _may_overflow(ws[0], ws[-1], 2 * h)
+    # same formulas as the batch path
     if kept == 0:
-        # same formula as the batch path: middle pair of the sorted window
-        estimate = 0.5 * (ws[h - 1] + ws[h])
+        # middle pair of the sorted window
+        if big:
+            estimate = 0.5 * ws[h - 1] + 0.5 * ws[h]
+        else:
+            estimate = 0.5 * (ws[h - 1] + ws[h])
         return RumeOutcome(float(estimate), (low, high), 0, True)
-    estimate = float(np.where(inside, z_held, 0.0).sum() / kept)
+    if big:
+        estimate = float(np.where(inside, z_held / kept, 0.0).sum())
+    else:
+        estimate = float(np.where(inside, z_held, 0.0).sum() / kept)
     return RumeOutcome(estimate, (low, high), kept, False)

@@ -274,32 +274,31 @@ def _alternating_truth(n: int, blocks: int) -> Tuple[int, ...]:
     return tuple(int(b) for b in np.sort(np.concatenate((half, full[:-1]))))
 
 
+def _drift(v: Sine, n: int) -> np.ndarray:
+    """Sine contamination mean at positions 1..n."""
+    t = np.arange(1, n + 1, dtype=np.float64)
+    return v.amplitude * np.sin(v.frequency * math.pi * t / n)
+
+
 def expected_value_profile(spec: AttackSpec) -> np.ndarray:
-    """Analytic E[Y_t] per position, without sampling.
+    """Analytic E[Y_t] per position, without sampling:
+    (1 - eps) * clean mean + eps * contamination mean.
 
     Raises SpecInvalid for variants whose observation mean does not exist
     (Cauchy contamination) or is not a distributional quantity (real-data
     corruption).
     """
-    v, n = spec.variant, spec.n
-    if isinstance(v, Spurious):
-        atom = np.where(_first_half_mask(n, v.blocks), -3.0, 3.0)
-        return v.epsilon * atom
-    if isinstance(v, Hiding):
-        first = _first_half_mask(n, v.blocks)
-        clean = np.where(first, 0.0, v.kappa)
-        atom = np.where(first, v.kappa / (2.0 * v.epsilon),
-                        v.kappa * (1.0 - 1.0 / (2.0 * v.epsilon)))
-        return (1.0 - v.epsilon) * clean + v.epsilon * atom
-    if isinstance(v, Sine):
-        clean = _segment_means(n, v.truth, _ladder(len(v.truth), v.kappa))
-        t = np.arange(1, n + 1, dtype=np.float64)
-        drift = v.amplitude * np.sin(v.frequency * math.pi * t / n)
-        return (1.0 - v.epsilon) * clean + v.epsilon * drift
+    v = spec.variant
     if isinstance(v, CleanSteps):
-        return _segment_means(n, v.truth, v.means)
-    raise SpecInvalid(
-        f"{type(v).__name__} has no finite observation mean profile")
+        return _clean_profile(spec)[0]
+    if isinstance(v, (Spurious, Hiding)):
+        contam = atom_profile(spec)
+    elif isinstance(v, Sine):
+        contam = _drift(v, spec.n)
+    else:
+        raise SpecInvalid(
+            f"{type(v).__name__} has no finite observation mean profile")
+    return (1.0 - v.epsilon) * _clean_profile(spec)[0] + v.epsilon * contam
 
 
 def atom_profile(spec: AttackSpec) -> np.ndarray:
@@ -385,9 +384,7 @@ def generate(spec: AttackSpec) -> LabeledSeries:
     if isinstance(v, (Spurious, Hiding)):
         contam = atom_profile(spec)
     elif isinstance(v, Sine):
-        t = np.arange(1, n + 1, dtype=np.float64)
-        drift = v.amplitude * np.sin(v.frequency * math.pi * t / n)
-        contam = drift + v.sigma * g.standard_normal(n)
+        contam = _drift(v, n) + v.sigma * g.standard_normal(n)
     elif isinstance(v, CauchyContam):
         contam = v.scale * g.standard_cauchy(n)
     else:

@@ -10,6 +10,7 @@ from arc_cpd import (
     CleanSteps,
     AttackSpec,
     DetectionConfig,
+    LambdaResolutionFailure,
     SeriesTooShort,
     TimeSeries,
     generate,
@@ -22,7 +23,6 @@ from arc_cpd.bench import (
     preset_table_d1,
     preset_table_sensitivity,
     phase_sweep,
-    resolve_threads,
     rows_to_csv,
     rows_to_json,
     run_grid,
@@ -32,30 +32,6 @@ from arc_cpd.detector import SimulationDefaultLambda
 
 def modal_k(row: BenchRow) -> int:
     return max(row.khat_histogram, key=lambda k: (row.khat_histogram[k], -k))
-
-
-class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("ARC_CPD_THREADS", "7")
-        assert resolve_threads(3) == 3
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("ARC_CPD_THREADS", "4")
-        assert resolve_threads() == 4
-
-    def test_default_one(self, monkeypatch):
-        monkeypatch.delenv("ARC_CPD_THREADS", raising=False)
-        assert resolve_threads() == 1
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-2"])
-    def test_bad_env(self, monkeypatch, bad):
-        monkeypatch.setenv("ARC_CPD_THREADS", bad)
-        with pytest.raises(ValueError):
-            resolve_threads()
-
-    def test_bad_explicit(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
 
 
 class TestBaselineScan:
@@ -128,6 +104,13 @@ class TestBaselineScan:
         with pytest.raises(SeriesTooShort):
             baseline_scan(TimeSeries(np.zeros(100)), cfg)
 
+    def test_auto_sigma_failure_is_reported(self):
+        # the same scale step as detect: a zero MAD cannot set lambda
+        cfg = DetectionConfig(h=30, epsilon=0.0,
+                              lambda_policy=SimulationDefaultLambda())
+        with pytest.raises(LambdaResolutionFailure):
+            baseline_scan(TimeSeries(np.full(400, 7.0)), cfg)
+
     def test_deterministic(self):
         g = np.random.default_rng(5)
         ts = TimeSeries(g.normal(0, 1, 600))
@@ -178,6 +161,11 @@ class TestRunGrid:
         b = rows_to_csv(run_grid(grid, threads=1))
         c = rows_to_csv(run_grid(grid, threads=2))
         assert a == b == c
+
+    def test_threads_validated(self):
+        grid = ExperimentGrid(preset="spurious", n=1200, reps=1)
+        with pytest.raises(ValueError):
+            run_grid(grid, threads=0)
 
     def test_clean_preset_trivial_recovery(self):
         grid = ExperimentGrid(preset="clean", n=5000, windows=(340,),

@@ -1,10 +1,14 @@
 """Scan statistic, maximizer extraction, thresholding, and aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arc_cpd import detector
 from arc_cpd import (
     DetectionConfig,
     InfeasibleWindow,
@@ -81,6 +85,23 @@ class TestScanStatistic:
                               delta=0.6, sigma=1.0)
         curve = scan_statistic(TimeSeries(x), cfg)
         assert curve[24] == kappa
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_for_magnitudes_up_to_8e307(self, data):
+        h = data.draw(st.integers(8, 12))
+        n = data.draw(st.integers(4 * h, 4 * h + 8))
+        x = data.draw(st.lists(
+            st.one_of(st.floats(-8e307, 8e307),
+                      st.sampled_from([-8e307, 8e307])),
+            min_size=n, max_size=n))
+        cfg = DetectionConfig(h=h, epsilon=0.0, lambda_policy=ManualLambda(1.0),
+                              delta=0.5, sigma=1.0,
+                              seed=data.draw(st.integers(0, 1000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = scan_statistic(TimeSeries(np.asarray(x)), cfg)
+        assert np.isfinite(list(curve.values())).all()
 
     def test_too_short_series_rejected(self):
         cfg = DetectionConfig(h=20, epsilon=0.0, lambda_policy=ManualLambda(1.0),
@@ -192,6 +213,21 @@ class TestDetect:
             detect(TimeSeries(np.arange(200, dtype=np.float64)), cfg)
         assert exc.value.scan_index == 40
 
+    def test_near_float_max_step(self):
+        # plain window sums of these values overflow; the scan must stay
+        # finite and find the one step
+        g = np.random.default_rng(0)
+        x = np.concatenate([0.5e308 + g.normal(0, 1e300, 500),
+                            0.9e308 + g.normal(0, 1e300, 500)])
+        cfg = DetectionConfig(h=20, epsilon=0.05, delta=0.05,
+                              lambda_policy=ManualLambda(1e307), sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = detect(TimeSeries(x), cfg)
+        assert np.isfinite(list(rep.scan_curve.values())).all()
+        assert rep.estimated.k == 1
+        assert abs(rep.estimated.locations[0] - 500) <= 2 * cfg.h
+
     def test_auto_sigma_failure_is_reported(self):
         cfg = DetectionConfig(h=100, epsilon=0.1,
                               lambda_policy=SimulationDefaultLambda())
@@ -260,7 +296,14 @@ class TestDetect:
                               lambda_policy=ManualLambda(1.5),
                               delta=0.5, sigma=1.0, seed=77)
         fwd = detect(TimeSeries(x), cfg)
-        rev = detect(TimeSeries(x[::-1]), cfg, _mirror_ids=True)
+        # detect's own steps on the reversed series with mirrored stream ids
+        rev_series = TimeSeries(x[::-1])
+        rev = detector._scan_report(
+            rev_series, cfg, lambda sigma: 1.5,
+            lambda: detector._scan_arrays(rev_series, cfg, mirror_ids=True),
+            0.0)
+        assert all(rev.scan_curve[j] == fwd.scan_curve[n - j]
+                   for j in rev.scan_curve)
         assert fwd.estimated.k == rev.estimated.k
         reflected = sorted(n - t for t in rev.estimated.locations)
         for a, b in zip(sorted(fwd.estimated.locations), reflected):
@@ -345,3 +388,16 @@ class TestRecommendH:
 
     def test_tiny_jump_leaves_no_window(self):
         assert recommend_h(1000, 0.05, 0.01) is None
+
+    def test_sufficient_not_necessary(self):
+        # the README quick-start regime has no recommended window, yet
+        # h = 170 recovers all three changes there
+        assert recommend_h(5000, 0.1, 1.0) is None
+        ls = hiding_setting(11)
+        cfg = DetectionConfig(h=170, epsilon=0.1,
+                              lambda_policy=SimulationDefaultLambda(),
+                              sigma=1.0, delta=0.05, seed=7)
+        est = detect(ls.series, cfg).estimated
+        assert est.k == 3
+        for e, t in zip(est.locations, ls.truth_f.locations):
+            assert abs(e - t) <= 2 * cfg.h

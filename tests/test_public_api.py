@@ -1,0 +1,54 @@
+"""The package's exported names and the runnable demos."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import arc_cpd
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestExports:
+    def test_all_names_are_public_and_not_modules(self):
+        assert arc_cpd.__all__
+        for name in arc_cpd.__all__:
+            assert not name.startswith("_")
+            assert not inspect.ismodule(getattr(arc_cpd, name)), name
+
+    def test_star_import_covers_the_api(self):
+        namespace = {}
+        exec("from arc_cpd import *", namespace)
+        for name in ("detect", "baseline_scan", "run_grid", "rume",
+                     "generate", "TimeSeries"):
+            assert name in namespace
+        assert "bench" not in namespace and "detector" not in namespace
+
+
+class TestDemos:
+    def test_quickstart_matches_readme(self):
+        out = run_demo("quickstart.py")
+        assert "estimated changes: (1253, 2517, 3780)" in out
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert "(1253, 2517, 3780)" in readme
+
+    def test_attack_contrast(self):
+        # the plain-mean scan chases the planted step, the robust one not
+        lines = run_demo("attack_contrast.py").splitlines()
+        plain = next(ln for ln in lines if ln.startswith("plain-mean scan:"))
+        robust = next(ln for ln in lines if ln.startswith("robust scan:"))
+        assert "K=1 " in plain
+        assert "K=0 " in robust

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arc_cpd.detector import _rume_batch
 from arc_cpd import (
     InfeasibleWindow,
     RumeParams,
@@ -233,3 +234,65 @@ class TestRume:
     def test_rejects_tiny_window(self):
         with pytest.raises(ValueError):
             rume([1.0, 2.0], RumeParams(0.0, 0.5), substream(0, 0))
+
+    def test_near_float_max_window_is_finite(self):
+        # 20 held-out terms of 8e307 overflow a plain sum
+        out = rume([8e307] * 40, RumeParams(0.0, 0.5), substream(0, 1))
+        assert out.estimate == pytest.approx(8e307, rel=1e-12)
+        assert not out.degenerate
+
+
+# value families for windows: heavy ties, a large offset that leaves only
+# the low bits to tell values apart, and magnitudes that overflow plain sums
+_FAMILIES = (
+    st.integers(-3, 3).map(float),
+    st.floats(-1.0, 1.0).map(lambda v: 1e6 + v),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.7e308, -8e307, -1.0, 0.0, 1.0, 8e307, 1.7e308]),
+)
+
+
+class TestBatchMatchesScalar:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_scalar_bit_for_bit(self, data):
+        h = data.draw(st.integers(2, 24))
+        eps = data.draw(st.sampled_from([0.0, 0.05, 0.1]))
+        delta = data.draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+        try:
+            span = trimming_span(h, eps, delta)
+        except InfeasibleWindow:
+            assume(False)
+        family = data.draw(st.sampled_from(_FAMILIES))
+        rows = data.draw(st.integers(1, 4))
+        windows = np.asarray(data.draw(st.lists(
+            st.lists(family, min_size=2 * h, max_size=2 * h),
+            min_size=rows, max_size=rows)), dtype=np.float64)
+        run = data.draw(st.integers(0, 2 * h))
+        windows[:, :run] = windows[:, :1]  # a constant run
+        seed = data.draw(st.integers(0, 2 ** 32))
+        ids = np.asarray(data.draw(st.lists(
+            st.integers(0, 10 ** 6), min_size=rows, max_size=rows)))
+
+        # past +-8e307 the shorth widths may overflow; both forks must still
+        # agree there
+        with np.errstate(over="ignore", invalid="ignore"):
+            est, bad = _rume_batch(windows, ids, seed, span)
+            for i in range(rows):
+                out = rume(windows[i], RumeParams(eps, delta),
+                           substream(seed, int(ids[i])))
+                assert np.float64(out.estimate).tobytes() == est[i].tobytes()
+                assert out.degenerate == bad[i]
+
+    def test_degenerate_rows_near_float_max(self):
+        # the median fallback's a + b overflows here, 0.5*a + 0.5*b does not
+        window = [1.6e308, 1.6e308, 1.7e308, 1.7e308]
+        params = RumeParams(0.0, math.exp(-0.14))
+        span = trimming_span(2, 0.0, params.delta)
+        est, bad = _rume_batch(np.asarray([window] * 50), np.arange(50), 1,
+                               span)
+        assert bad.any()
+        assert (est[bad] == 0.5 * 1.6e308 + 0.5 * 1.7e308).all()
+        for sid in range(50):
+            out = rume(window, params, substream(1, sid))
+            assert np.float64(out.estimate).tobytes() == est[sid].tobytes()
