@@ -10,8 +10,8 @@ repetitions of generate -> detect -> score for each requested method:
 
 Randomness is hierarchical: master seed -> cell index -> repetition ->
 (0 = generator, 1 + method index = that method's detector). Rows therefore
-never depend on execution order or thread count, and run_grid output is
-byte-reproducible from the master seed.
+never depend on execution order or worker process count, and run_grid
+output is byte-reproducible from the master seed.
 
 Scoring is always against the clean segment truth. Infinite Hausdorff values
 (empty versus nonempty estimate) are excluded from location-error aggregates
@@ -20,10 +20,13 @@ and counted in excluded_inf.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -171,12 +174,23 @@ class BenchRow:
 
 
 def _fan_out(fn: Callable, items: Sequence, threads: int) -> list:
-    """[fn(x) for x in items] on up to `threads` worker threads, in order."""
+    """[fn(x) for x in items] on up to `threads` worker processes, in order.
+
+    fn and the items must pickle. Workers are forked where the platform
+    allows it and no other thread is running, so they start without
+    re-importing the package; otherwise they are spawned. An error raised
+    by fn reaches the caller as the same exception.
+    """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # a fork copies locks that another thread may hold, never that thread
+    fork = ("fork" in multiprocessing.get_all_start_methods() and
+            threading.active_count() == 1)
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    with ProcessPoolExecutor(max_workers=min(threads, len(items)),
+                             mp_context=context) as pool:
         return list(pool.map(fn, items))
 
 
@@ -311,8 +325,13 @@ def _run_cell(grid: ExperimentGrid, cell: GridCell) -> List[BenchRow]:
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> List[BenchRow]:
-    """All rows of a grid in canonical cell order, one per (cell, method)."""
-    nested = _fan_out(lambda c: _run_cell(grid, c), grid.cells(), threads)
+    """All rows of a grid in canonical cell order, one per (cell, method).
+
+    threads caps the worker processes that run the cells; rows do not
+    depend on it.
+    """
+    nested = _fan_out(functools.partial(_run_cell, grid), grid.cells(),
+                      threads)
     return [row for rows in nested for row in rows]
 
 
@@ -356,6 +375,35 @@ def rows_to_json(rows: Sequence[BenchRow]) -> str:
                       sort_keys=True)
 
 
+def _phase_kappa(n: int, h: int, epsilon: float, sigma: float,
+                 c_lambda: float, reps: int, master_seed: int,
+                 truth: Tuple[int, ...],
+                 item: Tuple[int, float]) -> Tuple[float, float]:
+    """One phase_sweep cell: item is (index in kappa_grid, kappa)."""
+    ki, kappa = item
+    kappa = float(kappa)
+    cell_seed = substream(master_seed, ki).child_seed()
+    wins = 0
+    for r in range(1, reps + 1):
+        rep_seed = substream(cell_seed, r).child_seed()
+        gen_seed = substream(rep_seed, 0).child_seed()
+        spec = AttackSpec(
+            Sine(epsilon=epsilon, amplitude=0.0, frequency=1.0,
+                 kappa=kappa, sigma=sigma, truth=truth), n, gen_seed)
+        ls = generate(spec)
+        det_seed = substream(substream(rep_seed, 1).child_seed(),
+                             1).child_seed()
+        config = DetectionConfig(h=h, epsilon=epsilon,
+                                 lambda_policy=TheoreticalLambda(c_lambda),
+                                 delta=_sim_delta(n, h, epsilon),
+                                 sigma=sigma, seed=det_seed)
+        est = detect(ls.series, config).estimated
+        if est.k == ls.truth_f.k and \
+                hausdorff(est, ls.truth_f) <= 2 * h:
+            wins += 1
+    return (kappa / sigma, wins / reps)
+
+
 def phase_sweep(n: int, L: int, epsilon: float,
                 kappa_grid: Sequence[float], reps: int,
                 sigma: float = 1.0, h: Optional[int] = None,
@@ -372,7 +420,8 @@ def phase_sweep(n: int, L: int, epsilon: float,
     defaults to a strong null-suppressing value so failures below the
     boundary are misses, not false alarms.
 
-    Returns [(kappa / sigma, success rate)] in kappa_grid order.
+    Returns [(kappa / sigma, success rate)] in kappa_grid order; threads
+    caps the worker processes and does not change the result.
     """
     if n % L != 0 or n // L < 2:
         raise ValueError("L must divide n into at least 2 segments")
@@ -382,30 +431,9 @@ def phase_sweep(n: int, L: int, epsilon: float,
         h = L // 8 - (1 if L % 8 == 0 else 0)  # keep h < L / 8 strict
     truth = tuple(range(L, n, L))
 
-    def one_kappa(ki: int) -> Tuple[float, float]:
-        kappa = float(kappa_grid[ki])
-        cell_seed = substream(master_seed, ki).child_seed()
-        wins = 0
-        for r in range(1, reps + 1):
-            rep_seed = substream(cell_seed, r).child_seed()
-            gen_seed = substream(rep_seed, 0).child_seed()
-            spec = AttackSpec(
-                Sine(epsilon=epsilon, amplitude=0.0, frequency=1.0,
-                     kappa=kappa, sigma=sigma, truth=truth), n, gen_seed)
-            ls = generate(spec)
-            det_seed = substream(substream(rep_seed, 1).child_seed(),
-                                 1).child_seed()
-            config = DetectionConfig(h=h, epsilon=epsilon,
-                                     lambda_policy=TheoreticalLambda(c_lambda),
-                                     delta=_sim_delta(n, h, epsilon),
-                                     sigma=sigma, seed=det_seed)
-            est = detect(ls.series, config).estimated
-            if est.k == ls.truth_f.k and \
-                    hausdorff(est, ls.truth_f) <= 2 * h:
-                wins += 1
-        return (kappa / sigma, wins / reps)
-
-    return _fan_out(one_kappa, range(len(kappa_grid)), threads)
+    cell = functools.partial(_phase_kappa, n, h, epsilon, sigma, c_lambda,
+                             reps, master_seed, truth)
+    return _fan_out(cell, list(enumerate(kappa_grid)), threads)
 
 
 # Spurious-attack table: (epsilon, blocks, sigma) rows at n = 5000, 2h = 340

@@ -442,7 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker thread cap (default 1); results do not "
+                   help="worker process cap (default 1); results do not "
                         "depend on it")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--json-out", default=None,

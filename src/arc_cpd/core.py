@@ -64,6 +64,10 @@ class NonFiniteValue(ArcCpdError):
         self.index = int(index)
         super().__init__(f"non-finite value at position {self.index}")
 
+    def __reduce__(self):
+        # rebuild from the field, not from the message in self.args
+        return type(self), (self.index,), self.__dict__
+
 
 class DegenerateScale(ArcCpdError):
     """Raised when the MAD scale estimate is zero."""
@@ -101,6 +105,12 @@ class InfeasibleWindow(ArcCpdError):
             f"value {condition_value:.6g} (must be < 0.5), span D={span} "
             f"(must be in [1, h-1])"
         )
+
+    def __reduce__(self):
+        # rebuild from the fields, not from the message in self.args
+        return type(self), (self.h, self.epsilon, self.delta,
+                            self.epsilon_eff, self.condition_value,
+                            self.span, self.scan_index), self.__dict__
 
 
 class SpecInvalid(ArcCpdError):

@@ -179,7 +179,13 @@ def _rume_batch(windows: np.ndarray, stream_ids: np.ndarray, seed: int,
         z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
         z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)
 
-        widths = z[:, span:] - z[:, :h - span]
+        # rows that could overflow halve before subtracting or adding and
+        # sum pre-divided terms; elsewhere (half = 1) the plain formulas
+        # keep their bits
+        big = _may_overflow(ws[:, 0], ws[:, -1], width)
+        half = np.where(big, 0.5, 1.0)
+        zw = z * half[:, None]
+        widths = zw[:, span:] - zw[:, :h - span]
         j0 = widths.argmin(axis=1)
         rows = np.arange(c)
         low = z[rows, j0]
@@ -188,14 +194,10 @@ def _rume_batch(windows: np.ndarray, stream_ids: np.ndarray, seed: int,
         inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
         kept = inside.sum(axis=1)
         count = np.maximum(kept, 1)
-        # rows that could overflow sum pre-divided terms and halve before
-        # adding; elsewhere (half = 1) the plain formulas keep their bits
-        big = _may_overflow(ws[:, 0], ws[:, -1], width)
         if big.any():
             z_held[big] /= count[big, None]
         means = (np.where(inside, z_held, 0.0).sum(axis=1) /
                  np.where(big, 1, count))
-        half = np.where(big, 0.5, 1.0)
         mids = (half * ws[:, h - 1] + half * ws[:, h]) * (0.5 / half)
         bad = kept == 0
         est = np.where(bad, mids, means)

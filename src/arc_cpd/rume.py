@@ -23,8 +23,9 @@ contamination. Given a window of 2h values and a failure level delta in
    point falls inside, fall back to the median of the full window and flag
    the outcome as degenerate.
 
-Windows whose extremes could overflow a sum of 2h terms take the mean as a
-sum of pre-divided terms and the median as 0.5*a + 0.5*b.
+Windows whose extremes could overflow a sum of 2h terms take the shorth
+widths as 0.5*high - 0.5*low, the mean as a sum of pre-divided terms and
+the median as 0.5*a + 0.5*b.
 
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,17 +166,26 @@ def auto_delta(n: int, h: int, epsilon: float, slack: float = 0.5) -> float:
     return math.exp(-slack * h * x_max)
 
 
-def shorth_interval(sorted_half: Sequence[float], d: int):
+def shorth_interval(sorted_half: Sequence[float], d: int,
+                    halved: Optional[bool] = None):
     """Shortest interval spanning d order-statistic steps of a sorted sample.
 
     Returns ((low, high), j_star) where j_star is the 1-based index of the
     left endpoint among the order statistics; the smallest j wins exact ties.
+    With halved set, widths are taken as 0.5*high - 0.5*low, which cannot
+    overflow and, halving being exact for normal floats, ranks them as the
+    plain differences do. None halves when the sample's extremes could
+    overflow a difference; rume passes its window's overflow flag instead,
+    so the scalar and batch estimators pick the same arithmetic.
     """
     z = np.asarray(sorted_half, dtype=np.float64)
     h = z.size
     if not (1 <= d <= h - 1):
         raise ValueError("need 1 <= d <= h - 1")
-    widths = z[d:] - z[:h - d]
+    if halved is None:
+        halved = _may_overflow(z[0], z[-1], 2)
+    zw = 0.5 * z if halved else z
+    widths = zw[d:] - zw[:h - d]
     j0 = int(np.argmin(widths))  # argmin returns the first minimum
     return (float(z[j0]), float(z[j0 + d])), j0 + 1
 
@@ -202,10 +212,10 @@ def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOut
     z = ws[np.sort(perm[:h])]        # sorted positions keep z ascending
     z_held = ws[np.sort(perm[h:])]
 
-    (low, high), _ = shorth_interval(z, d)
+    big = _may_overflow(ws[0], ws[-1], 2 * h)
+    (low, high), _ = shorth_interval(z, d, halved=big)
     inside = (z_held >= low) & (z_held <= high)
     kept = int(inside.sum())
-    big = _may_overflow(ws[0], ws[-1], 2 * h)
     # same formulas as the batch path
     if kept == 0:
         # middle pair of the sorted window

@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from arc_cpd import (
     CleanSteps,
     AttackSpec,
     DetectionConfig,
+    InfeasibleWindow,
     LambdaResolutionFailure,
     SeriesTooShort,
     TimeSeries,
@@ -161,6 +163,13 @@ class TestRunGrid:
         b = rows_to_csv(run_grid(grid, threads=1))
         c = rows_to_csv(run_grid(grid, threads=2))
         assert a == b == c
+        # one worker process per cell, and more workers than cells
+        jsons = {rows_to_json(run_grid(grid, threads=k)) for k in (1, 2, 3)}
+        # with another thread running, the workers are spawned, not forked
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            jsons.add(pool.submit(lambda: rows_to_json(
+                run_grid(grid, threads=2))).result(timeout=300))
+        assert len(jsons) == 1
 
     def test_threads_validated(self):
         grid = ExperimentGrid(preset="spurious", n=1200, reps=1)
@@ -305,6 +314,19 @@ class TestPhaseSweep:
         b = phase_sweep(1200, 300, 0.05, grid, reps=5, master_seed=8,
                         threads=2)
         assert a == b
+
+    def test_worker_error_arrives_typed(self):
+        # epsilon 0.3 leaves auto_delta no feasible level, inside each cell
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(InfeasibleWindow) as exc:
+                phase_sweep(1200, 300, 0.3, [1.0, 2.0], reps=1,
+                            threads=threads)
+            errors.append(exc.value)
+        one, two = errors
+        assert type(two) is InfeasibleWindow
+        assert str(one) == str(two)
+        assert vars(one) == vars(two)
 
 
 class TestPresetGrids:

@@ -1,6 +1,7 @@
 """Domain types, validation, and the substream randomness contract."""
 
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -10,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arc_cpd import (
+    ArcCpdError,
     ChangePointSet,
     DegenerateScale,
     DetectionConfig,
     EmptySeries,
+    InfeasibleWindow,
+    LambdaResolutionFailure,
     ManualLambda,
+    NoFeasibleCandidate,
     NonFiniteValue,
     SegmentPartition,
+    SeriesTooShort,
+    SpecInvalid,
     TimeSeries,
     mad_sigma,
     substream,
@@ -210,3 +217,36 @@ class TestDetectionConfig:
             DetectionConfig(
                 h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0), delta=1.5
             )
+
+
+def _error_classes(cls=ArcCpdError):
+    out = {cls}
+    for sub in cls.__subclasses__():
+        out |= _error_classes(sub)
+    return out
+
+
+class TestErrorsPickle:
+    # worker processes send their errors back pickled
+    SAMPLES = (
+        ArcCpdError("base"),
+        EmptySeries("empty"),
+        NonFiniteValue(3),
+        DegenerateScale("zero MAD"),
+        SeriesTooShort("need n >= 4h"),
+        InfeasibleWindow(5, 0.3, 0.01, 0.3, 1.7, 0, scan_index=10),
+        InfeasibleWindow(5, 0.3, 0.01, 0.3, 1.7, 0),
+        SpecInvalid("bad spec"),
+        NoFeasibleCandidate("none"),
+        LambdaResolutionFailure("no scale"),
+    )
+
+    def test_samples_cover_every_error_class(self):
+        assert {type(e) for e in self.SAMPLES} == _error_classes()
+
+    def test_round_trip_keeps_type_and_fields(self):
+        for err in self.SAMPLES:
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is type(err)
+            assert back.args == err.args
+            assert vars(back) == vars(err)

@@ -1,6 +1,7 @@
 """Robust mean estimator: span formula, shorth search, and error bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ class TestShorthInterval:
     def test_rejects_bad_span(self):
         with pytest.raises(ValueError):
             shorth_interval([0.0, 1.0, 2.0], 3)
+
+    def test_widths_past_float_max(self):
+        # both plain widths overflow to inf; the second is the shorter
+        z = [-1.7e308, -1.0e308, 1.6e308, 1.6e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shorth_interval(z, 2) == ((-1.0e308, 1.6e308), 2)
+            assert shorth_interval(z, 2, halved=True) == \
+                ((-1.0e308, 1.6e308), 2)
 
 
 class TestRume:
@@ -274,15 +284,16 @@ class TestBatchMatchesScalar:
         ids = np.asarray(data.draw(st.lists(
             st.integers(0, 10 ** 6), min_size=rows, max_size=rows)))
 
-        # past +-8e307 the shorth widths may overflow; both forks must still
-        # agree there
-        with np.errstate(over="ignore", invalid="ignore"):
+        # full-range magnitudes, up to +-1.7e308, overflow nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             est, bad = _rume_batch(windows, ids, seed, span)
             for i in range(rows):
                 out = rume(windows[i], RumeParams(eps, delta),
                            substream(seed, int(ids[i])))
                 assert np.float64(out.estimate).tobytes() == est[i].tobytes()
                 assert out.degenerate == bad[i]
+        assert np.isfinite(est).all()
 
     def test_degenerate_rows_near_float_max(self):
         # the median fallback's a + b overflows here, 0.5*a + 0.5*b does not
