@@ -18,6 +18,7 @@ from .core import (
     InfeasibleWindow,
     LambdaResolutionFailure,
     NoFeasibleCandidate,
+    NonFiniteScan,
     NonFiniteValue,
     RngStream,
     RunReport,

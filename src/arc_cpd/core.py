@@ -28,6 +28,7 @@ __all__ = [
     "SpecInvalid",
     "NoFeasibleCandidate",
     "LambdaResolutionFailure",
+    "NonFiniteScan",
     "TimeSeries",
     "ChangePointSet",
     "SegmentPartition",
@@ -124,6 +125,23 @@ class NoFeasibleCandidate(ArcCpdError):
 class LambdaResolutionFailure(ArcCpdError):
     """Raised when the threshold policy needs an automatic scale estimate
     and the estimate itself fails."""
+
+
+class NonFiniteScan(ArcCpdError):
+    """Raised when finite input still gives a NaN or infinite scan value,
+    as when two window means differ by more than float max.
+
+    The first such scan index is stored in ``scan_index``.
+    """
+
+    def __init__(self, scan_index: int):
+        self.scan_index = int(scan_index)
+        super().__init__(f"non-finite scan statistic at scan index "
+                         f"{self.scan_index}")
+
+    def __reduce__(self):
+        # rebuild from the field, not from the message in self.args
+        return type(self), (self.scan_index,), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -322,8 +340,9 @@ class RunReport:
     """Diagnostics of a single detection run.
 
     scan_curve maps every scan index j in {2h, ..., n-2h} to the statistic
-    value at j. Every estimated location is one of these keys and its value
-    strictly exceeds lambda_used.
+    value at j; every value is finite (a scan that is not raises
+    NonFiniteScan). Every estimated location is one of these keys and its
+    value strictly exceeds lambda_used.
     """
 
     scan_curve: dict

@@ -32,13 +32,14 @@ from .core import (
     DetectionConfig,
     InfeasibleWindow,
     LambdaResolutionFailure,
+    NonFiniteScan,
     RunReport,
     SeriesTooShort,
     TimeSeries,
     mad_sigma,
     substream,
 )
-from .rume import _may_overflow, effective_epsilon, trimming_span
+from .rume import _rume_batch, effective_epsilon, trimming_span
 
 __all__ = [
     "ManualLambda",
@@ -150,62 +151,6 @@ class AggregateReport:
     per_run: tuple
 
 
-# batch size for the vectorized window pipeline; bounds peak memory at
-# roughly chunk * 2h * 8 bytes per intermediate array
-_CHUNK = 1024
-
-
-def _rume_batch(windows: np.ndarray, stream_ids: np.ndarray, seed: int,
-                span: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized estimator over many windows of equal width 2h.
-
-    Bit-compatible with scalar :func:`arc_cpd.rume.rume`: same sorted-window
-    canonical order, same per-window substreams, same summation order.
-    Returns (estimates, degenerate flags).
-    """
-    m, width = windows.shape
-    h = width // 2
-    estimates = np.empty(m, dtype=np.float64)
-    degenerate = np.zeros(m, dtype=bool)
-
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        ws = np.sort(windows[start:stop], axis=1)
-        c = stop - start
-        perms = np.empty((c, width), dtype=np.int64)
-        for i in range(c):
-            g = substream(seed, int(stream_ids[start + i])).generator()
-            perms[i] = g.permutation(width)
-        z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
-        z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)
-
-        # rows that could overflow halve before subtracting or adding and
-        # sum pre-divided terms; elsewhere (half = 1) the plain formulas
-        # keep their bits
-        big = _may_overflow(ws[:, 0], ws[:, -1], width)
-        half = np.where(big, 0.5, 1.0)
-        zw = z * half[:, None]
-        widths = zw[:, span:] - zw[:, :h - span]
-        j0 = widths.argmin(axis=1)
-        rows = np.arange(c)
-        low = z[rows, j0]
-        high = z[rows, j0 + span]
-
-        inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
-        kept = inside.sum(axis=1)
-        count = np.maximum(kept, 1)
-        if big.any():
-            z_held[big] /= count[big, None]
-        means = (np.where(inside, z_held, 0.0).sum(axis=1) /
-                 np.where(big, 1, count))
-        mids = (half * ws[:, h - 1] + half * ws[:, h]) * (0.5 / half)
-        bad = kept == 0
-        est = np.where(bad, mids, means)
-        estimates[start:stop] = est
-        degenerate[start:stop] = bad
-    return estimates, degenerate
-
-
 def _resolve_delta(config: DetectionConfig, n: int) -> float:
     return config.delta if config.delta is not None else 1.0 / n
 
@@ -235,12 +180,12 @@ def _scan_arrays(series: TimeSeries, config: DetectionConfig,
     if mirror_ids:
         left_ids, right_ids = (2 * (n - js) + 1), (2 * (n - js))
 
-    left_est, left_bad = _rume_batch(view[js - 2 * h], left_ids,
-                                     config.seed, span)
-    right_est, right_bad = _rume_batch(view[js], right_ids,
-                                       config.seed, span)
+    left_est, _, _, left_kept = _rume_batch(view[js - 2 * h], left_ids,
+                                            config.seed, span)
+    right_est, _, _, right_kept = _rume_batch(view[js], right_ids,
+                                              config.seed, span)
     curve = np.abs(right_est - left_est)
-    return curve, int(left_bad.sum() + right_bad.sum())
+    return curve, int((left_kept == 0).sum() + (right_kept == 0).sum())
 
 
 def _check_length(series: TimeSeries, h: int) -> None:
@@ -248,10 +193,25 @@ def _check_length(series: TimeSeries, h: int) -> None:
         raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {series.n}")
 
 
+def _finite_scan(scan: Callable[[], Tuple[np.ndarray, int]],
+                 h: int) -> Tuple[np.ndarray, int]:
+    """scan() with numpy's float warnings silenced; raises NonFiniteScan at
+    the first scan index whose value is NaN or infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve, degenerate = scan()
+    bad = np.flatnonzero(~np.isfinite(curve))
+    if bad.size:
+        raise NonFiniteScan(2 * h + int(bad[0]))
+    return curve, degenerate
+
+
 def scan_statistic(series: TimeSeries, config: DetectionConfig) -> Dict[int, float]:
-    """Map each scan index j in {2h, ..., n-2h} to the statistic value."""
+    """Map each scan index j in {2h, ..., n-2h} to the statistic value.
+
+    Raises NonFiniteScan rather than return a NaN or infinite value.
+    """
     _check_length(series, config.h)
-    curve, _ = _scan_arrays(series, config)
+    curve, _ = _finite_scan(lambda: _scan_arrays(series, config), config.h)
     return {2 * config.h + i: float(v) for i, v in enumerate(curve)}
 
 
@@ -312,15 +272,16 @@ def _scan_report(series: TimeSeries, config: DetectionConfig,
     """The steps every scan shares around its statistic.
 
     threshold maps the noise scale to lambda; scan() returns the curve over
-    j = 2h..n-2h and its degenerate window count. Detections are the local
-    maximizers strictly above lambda.
+    j = 2h..n-2h and its degenerate window count, and a NaN or infinite
+    value in it raises NonFiniteScan. Detections are the local maximizers
+    strictly above lambda.
     """
     h = config.h
     lam = threshold(_resolve_sigma(series, config))
     if lam <= 0:
         raise LambdaResolutionFailure(f"resolved lambda {lam} is not positive")
     _check_length(series, h)
-    curve, degenerate = scan()
+    curve, degenerate = _finite_scan(scan, h)
     radius = config.maximizer_radius or 4 * h
     detected = 2 * h + np.flatnonzero(_local_max_mask(curve, radius) &
                                       (curve > lam))

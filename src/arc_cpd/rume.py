@@ -23,9 +23,11 @@ contamination. Given a window of 2h values and a failure level delta in
    point falls inside, fall back to the median of the full window and flag
    the outcome as degenerate.
 
-Windows whose extremes could overflow a sum of 2h terms take the shorth
-widths as 0.5*high - 0.5*low, the mean as a sum of pre-divided terms and
-the median as 0.5*a + 0.5*b.
+One row-wise kernel, `_rume_batch`, computes the estimator for the scan,
+the tournament and `rume` alike. Windows whose extremes could overflow a
+sum of 2h terms take the shorth widths as 0.5*high - 0.5*low, the mean as
+a sum of pre-divided terms clipped into the kept interval and the median
+as 0.5*a + 0.5*b.
 
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InfeasibleWindow, RngStream
+from .core import InfeasibleWindow, RngStream, substream
 
 __all__ = [
     "RumeParams",
@@ -90,8 +92,7 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 def _may_overflow(lowest, highest, width: int):
     """Whether a sum of `width` terms within [lowest, highest] can overflow.
 
-    Elementwise on arrays; shared by the scalar and batch estimators so both
-    pick the same arithmetic for every window.
+    Elementwise on arrays.
     """
     bound = _FLOAT_MAX / width
     return (lowest < -bound) | (highest > bound)
@@ -166,36 +167,107 @@ def auto_delta(n: int, h: int, epsilon: float, slack: float = 0.5) -> float:
     return math.exp(-slack * h * x_max)
 
 
-def shorth_interval(sorted_half: Sequence[float], d: int,
-                    halved: Optional[bool] = None):
+# batch size for the vectorized window pipeline; bounds peak memory at
+# roughly chunk * 2h * 8 bytes per intermediate array
+_CHUNK = 1024
+
+
+def _shortest(z: np.ndarray, spans: np.ndarray,
+              half: np.ndarray) -> np.ndarray:
+    """Left end (0-based, first on ties) of the shortest interval spanning
+    spans[i] steps of each ascending row z[i]. Rows with half 0.5 compare
+    widths of halved values, which cannot overflow and, halving being exact
+    for normal floats, rank as the plain widths do."""
+    zw = z * half[:, None]
+    j0 = np.empty(len(z), dtype=np.int64)
+    for d in np.unique(spans):  # rows sharing a span share one width pass
+        rows = spans == d
+        part = zw if rows.all() else zw[rows]
+        j0[rows] = (part[:, d:] - part[:, :-d]).argmin(axis=1)
+    return j0
+
+
+def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
+                spans: Union[int, np.ndarray]):
+    """The estimator over many windows of equal width 2h, one per row.
+
+    Row i is split by substream(seed, stream_ids[i]) and trimmed with span
+    spans[i]; one int serves every row. The outcome depends only on each
+    row's value multiset and stream. Returns (estimates, lows, highs, kept):
+    a row with kept == 0 is degenerate and its estimate is the median of
+    the window.
+    """
+    m, width = windows.shape
+    h = width // 2
+    spans = np.broadcast_to(spans, (m,))
+    estimates, lows, highs = np.empty((3, m))
+    kept = np.empty(m, dtype=np.int64)
+
+    for start in range(0, m, _CHUNK):
+        stop = min(start + _CHUNK, m)
+        ws = np.sort(windows[start:stop], axis=1)
+        c = stop - start
+        perms = np.empty((c, width), dtype=np.int64)
+        for i in range(c):
+            g = substream(seed, int(stream_ids[start + i])).generator()
+            perms[i] = g.permutation(width)
+        # sorted positions keep both halves ascending
+        z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
+        z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)
+
+        # rows that could overflow halve before subtracting or adding and
+        # sum pre-divided terms; elsewhere (half = 1) the plain formulas
+        # keep their bits
+        big = _may_overflow(ws[:, 0], ws[:, -1], width)
+        half = np.where(big, 0.5, 1.0)
+        span = spans[start:stop]
+        j0 = _shortest(z, span, half)
+        rows = np.arange(c)
+        low, high = z[rows, j0], z[rows, j0 + span]
+
+        inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
+        count = inside.sum(axis=1)
+        divisor = np.maximum(count, 1)
+        if big.any():
+            z_held[big] /= divisor[big, None]
+        with np.errstate(over="ignore"):
+            means = (np.where(inside, z_held, 0.0).sum(axis=1) /
+                     np.where(big, 1, divisor))
+        # rounding can carry a sum of pre-divided terms past the kept
+        # interval, and near float max to inf; the mean lies inside it
+        means = np.where(big, np.clip(means, low, high), means)
+        # middle pair of the sorted window
+        mids = (half * ws[:, h - 1] + half * ws[:, h]) * (0.5 / half)
+        estimates[start:stop] = np.where(count == 0, mids, means)
+        lows[start:stop], highs[start:stop], kept[start:stop] = \
+            low, high, count
+    return estimates, lows, highs, kept
+
+
+def shorth_interval(sorted_half: Sequence[float], d: int):
     """Shortest interval spanning d order-statistic steps of a sorted sample.
 
     Returns ((low, high), j_star) where j_star is the 1-based index of the
     left endpoint among the order statistics; the smallest j wins exact ties.
-    With halved set, widths are taken as 0.5*high - 0.5*low, which cannot
-    overflow and, halving being exact for normal floats, ranks them as the
-    plain differences do. None halves when the sample's extremes could
-    overflow a difference; rume passes its window's overflow flag instead,
-    so the scalar and batch estimators pick the same arithmetic.
+    Widths are taken as 0.5*high - 0.5*low when the sample's extremes could
+    overflow a plain difference.
     """
     z = np.asarray(sorted_half, dtype=np.float64)
     h = z.size
     if not (1 <= d <= h - 1):
         raise ValueError("need 1 <= d <= h - 1")
-    if halved is None:
-        halved = _may_overflow(z[0], z[-1], 2)
-    zw = 0.5 * z if halved else z
-    widths = zw[d:] - zw[:h - d]
-    j0 = int(np.argmin(widths))  # argmin returns the first minimum
+    half = 0.5 if _may_overflow(z[0], z[-1], 2) else 1.0
+    j0 = int(_shortest(z[None, :], np.asarray([d]), np.asarray([half]))[0])
     return (float(z[j0]), float(z[j0 + d])), j0 + 1
 
 
 def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOutcome:
     """Estimate the mean of a 2h window under contamination.
 
-    The window is sorted before the seeded split, so the outcome depends
-    only on the window's value multiset and the stream. Raises
-    InfeasibleWindow when (h, epsilon, delta) admit no valid span.
+    A one-row call of the kernel the scan and the tournament run. The
+    window is sorted before the seeded split, so the outcome depends only
+    on the window's value multiset and the stream. Raises InfeasibleWindow
+    when (h, epsilon, delta) admit no valid span.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1 or w.size < 4:
@@ -204,28 +276,9 @@ def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOut
         raise ValueError("window length must be even (two equal halves)")
     if not np.isfinite(w).all():
         raise ValueError("window values must be finite")
-    h = w.size // 2
 
-    d = trimming_span(h, params.epsilon, params.delta)
-    ws = np.sort(w)
-    perm = rng.generator().permutation(2 * h)
-    z = ws[np.sort(perm[:h])]        # sorted positions keep z ascending
-    z_held = ws[np.sort(perm[h:])]
-
-    big = _may_overflow(ws[0], ws[-1], 2 * h)
-    (low, high), _ = shorth_interval(z, d, halved=big)
-    inside = (z_held >= low) & (z_held <= high)
-    kept = int(inside.sum())
-    # same formulas as the batch path
-    if kept == 0:
-        # middle pair of the sorted window
-        if big:
-            estimate = 0.5 * ws[h - 1] + 0.5 * ws[h]
-        else:
-            estimate = 0.5 * (ws[h - 1] + ws[h])
-        return RumeOutcome(float(estimate), (low, high), 0, True)
-    if big:
-        estimate = float(np.where(inside, z_held / kept, 0.0).sum())
-    else:
-        estimate = float(np.where(inside, z_held, 0.0).sum() / kept)
-    return RumeOutcome(estimate, (low, high), kept, False)
+    d = trimming_span(w.size // 2, params.epsilon, params.delta)
+    est, low, high, kept = _rume_batch(w[None, :], [rng.stream_id],
+                                       rng.master_seed, d)
+    return RumeOutcome(float(est[0]), (float(low[0]), float(high[0])),
+                       int(kept[0]), bool(kept[0] == 0))

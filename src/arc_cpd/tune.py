@@ -24,8 +24,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import norm
 
-from .core import NoFeasibleCandidate, RngStream, TimeSeries, substream
-from .rume import RumeParams, is_feasible, rume
+from .core import NoFeasibleCandidate, RngStream, TimeSeries
+from .rume import _rume_batch, is_feasible, trimming_span
+from .rume import rume  # noqa: F401  perfbench/tracer.py wraps tune.rume
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -149,9 +150,12 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
                delta: float, rng: RngStream) -> TournamentResult:
     """Run the full candidate tournament and report scores per grid point.
 
-    Candidate j draws its estimation stream from substream(base, j) with
-    base derived from rng, so feasibility filtering never shifts the
-    randomness of other candidates.
+    Every feasible candidate j is one row of a single estimator call over
+    the training window: span trimming_span(h_train, grid[j], delta) and
+    stream substream(base, j) with base = rng.child_seed(), so estimates[j]
+    equals rume(window, RumeParams(grid[j], delta), substream(base, j))
+    bit for bit and feasibility filtering never shifts the randomness of
+    other candidates.
     """
     if detection_h < 2:
         raise ValueError("detection_h must be >= 2")
@@ -167,17 +171,14 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
         raise NoFeasibleCandidate(
             f"no grid level passes the feasibility condition at "
             f"h_train = {h_train} and h = {detection_h} with delta = {delta:g}")
-
-    base = rng.child_seed()
-    estimates: list = [None] * m
-    for j, (eps, ok) in enumerate(zip(tc.grid, feasible)):
-        if ok:
-            estimates[j] = rume(window, RumeParams(eps, delta),
-                                substream(base, j)).estimate
+    if window.size < 4:
+        raise ValueError("training window must hold >= 4 values")
 
     alive = [j for j in range(m) if feasible[j]]
-    theta = np.asarray([estimates[j] for j in alive], dtype=np.float64)
-    k = theta.size
+    k = len(alive)
+    spans = [trimming_span(h_train, tc.grid[j], delta) for j in alive]
+    theta = _rume_batch(np.broadcast_to(window, (k, window.size)), alive,
+                        rng.child_seed(), np.asarray(spans))[0]
 
     # all pairwise midpoints; strict event counts via one sorted pass
     sorted_y = np.sort(window)
@@ -196,9 +197,10 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     phi[_ties(theta[:, None], theta[None, :])] = 0
     alive_scores = phi.sum(axis=1)
 
+    estimates: list = [None] * m
     scores: list = [None] * m
     for pos, j in enumerate(alive):
-        scores[j] = int(alive_scores[pos])
+        estimates[j], scores[j] = float(theta[pos]), int(alive_scores[pos])
     best_pos = int(np.argmin(alive_scores))
     best = alive[best_pos]
     assert 0 <= alive_scores[best_pos] <= k - 1

@@ -13,6 +13,7 @@ from arc_cpd import (
     DetectionConfig,
     InfeasibleWindow,
     LambdaResolutionFailure,
+    NonFiniteScan,
     SeriesTooShort,
     TimeSeries,
     generate,
@@ -112,6 +113,17 @@ class TestBaselineScan:
                               lambda_policy=SimulationDefaultLambda())
         with pytest.raises(LambdaResolutionFailure):
             baseline_scan(TimeSeries(np.full(400, 7.0)), cfg)
+
+    def test_overflowing_sums_raise(self):
+        # the running sum overflows at the 180th point, so later window
+        # sums are inf or inf - inf; no such curve or detection comes back
+        x = np.concatenate([np.full(500, 1e306), np.full(500, 5e306)])
+        cfg = DetectionConfig(h=20, epsilon=0.0,
+                              lambda_policy=SimulationDefaultLambda(),
+                              sigma=1e305)
+        with pytest.raises(NonFiniteScan) as exc:
+            baseline_scan(TimeSeries(x), cfg)
+        assert exc.value.scan_index == 140
 
     def test_deterministic(self):
         g = np.random.default_rng(5)

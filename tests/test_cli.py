@@ -103,6 +103,16 @@ class TestDetect:
                     "0.3", "--sigma", "1"])
         assert code == 3
 
+    def test_nonfinite_scan_exits_2(self, tmp_path, capsys):
+        g = np.random.default_rng(0)
+        data = write_values(tmp_path / "big.csv", np.concatenate(
+            [-1e308 + g.normal(0, 1, 200), 1e308 + g.normal(0, 1, 200)]))
+        code = run(["detect", "--input", data, "--h", "20", "--epsilon",
+                    "0.05", "--delta", "0.05", "--lambda", "1e307",
+                    "--sigma", "1"])
+        assert code == 2
+        assert "scan index 185" in capsys.readouterr().err
+
     def test_report_deterministic(self, gaussian_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["detect", "--input", gaussian_file, "--h", "60", "--epsilon",

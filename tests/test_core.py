@@ -20,6 +20,7 @@ from arc_cpd import (
     LambdaResolutionFailure,
     ManualLambda,
     NoFeasibleCandidate,
+    NonFiniteScan,
     NonFiniteValue,
     SegmentPartition,
     SeriesTooShort,
@@ -239,6 +240,7 @@ class TestErrorsPickle:
         SpecInvalid("bad spec"),
         NoFeasibleCandidate("none"),
         LambdaResolutionFailure("no scale"),
+        NonFiniteScan(185),
     )
 
     def test_samples_cover_every_error_class(self):

@@ -14,6 +14,7 @@ from arc_cpd import (
     InfeasibleWindow,
     LambdaResolutionFailure,
     ManualLambda,
+    NonFiniteScan,
     RealDataHeavyTailLambda,
     RealDataLambda,
     SeriesTooShort,
@@ -227,6 +228,20 @@ class TestDetect:
         assert np.isfinite(list(rep.scan_curve.values())).all()
         assert rep.estimated.k == 1
         assert abs(rep.estimated.locations[0] - 500) <= 2 * cfg.h
+
+    def test_means_straddling_float_max_raise(self):
+        # each window mean is finite, but right - left overflows to inf
+        # near the step; no curve, no detection, no numpy warning
+        g = np.random.default_rng(0)
+        x = np.concatenate([-1e308 + g.normal(0, 1, 200),
+                            1e308 + g.normal(0, 1, 200)])
+        cfg = DetectionConfig(h=20, epsilon=0.05, delta=0.05,
+                              lambda_policy=ManualLambda(1e307), sigma=1.0)
+        for scan in (detect, scan_statistic):
+            with pytest.raises(NonFiniteScan) as exc:
+                scan(TimeSeries(x), cfg)
+            assert exc.value.scan_index == 185
+            assert "scan index 185" in str(exc.value)
 
     def test_auto_sigma_failure_is_reported(self):
         cfg = DetectionConfig(h=100, epsilon=0.1,

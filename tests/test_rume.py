@@ -1,14 +1,16 @@
 """Robust mean estimator: span formula, shorth search, and error bounds."""
 
+import importlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_cpd.detector import _rume_batch
+from arc_cpd.rume import _rume_batch
 from arc_cpd import (
     InfeasibleWindow,
     RumeParams,
@@ -20,6 +22,11 @@ from arc_cpd import (
     substream,
     trimming_span,
 )
+
+# the package binds the name rume to the function, so fetch the module
+RUME_MODULE = importlib.import_module("arc_cpd.rume")
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class TestEffectiveEpsilon:
@@ -133,8 +140,6 @@ class TestShorthInterval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert shorth_interval(z, 2) == ((-1.0e308, 1.6e308), 2)
-            assert shorth_interval(z, 2, halved=True) == \
-                ((-1.0e308, 1.6e308), 2)
 
 
 class TestRume:
@@ -250,6 +255,56 @@ class TestRume:
         out = rume([8e307] * 40, RumeParams(0.0, 0.5), substream(0, 1))
         assert out.estimate == pytest.approx(8e307, rel=1e-12)
         assert not out.degenerate
+        # seven kept terms of float max / 7 round up past float max
+        top = _FLOAT_MAX
+        out = rume([top] * 17 + [0.0] * 15, RumeParams(0.0, 0.3),
+                   substream(0, 0))
+        assert out.kept_count == 7
+        assert out.estimate == top
+
+
+def oracle_rume(window, span, rng):
+    """The estimator written out step by step for one window.
+
+    The reference each kernel row must match bit for bit. Returns
+    (estimate, low, high, kept); kept == 0 means degenerate.
+    """
+    ws = np.sort(np.asarray(window, dtype=np.float64))
+    h = ws.size // 2
+    perm = rng.generator().permutation(2 * h)
+    z = ws[np.sort(perm[:h])]        # sorted positions keep z ascending
+    z_held = ws[np.sort(perm[h:])]
+
+    # a window whose extremes could overflow a 2h-term sum halves before
+    # subtracting or adding and sums pre-divided terms
+    bound = _FLOAT_MAX / (2 * h)
+    big = ws[0] < -bound or ws[-1] > bound
+    zw = 0.5 * z if big else z
+    j0 = int(np.argmin(zw[span:] - zw[:h - span]))
+    low, high = z[j0], z[j0 + span]
+    inside = (z_held >= low) & (z_held <= high)
+    kept = int(inside.sum())
+    if kept == 0:
+        # middle pair of the sorted window
+        if big:
+            estimate = 0.5 * ws[h - 1] + 0.5 * ws[h]
+        else:
+            estimate = 0.5 * (ws[h - 1] + ws[h])
+    elif big:
+        with np.errstate(over="ignore"):
+            estimate = np.where(inside, z_held / kept, 0.0).sum()
+        estimate = min(max(estimate, low), high)
+    else:
+        estimate = np.where(inside, z_held, 0.0).sum() / kept
+    return np.float64(estimate), np.float64(low), np.float64(high), kept
+
+
+def assert_row_is_oracle(out, i, window, span, rng):
+    est, low, high, kept = oracle_rume(window, span, rng)
+    assert est.tobytes() == out[0][i].tobytes()
+    assert low.tobytes() == out[1][i].tobytes()
+    assert high.tobytes() == out[2][i].tobytes()
+    assert kept == out[3][i]
 
 
 # value families for windows: heavy ties, a large offset that leaves only
@@ -267,43 +322,45 @@ class TestBatchMatchesScalar:
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_scalar_bit_for_bit(self, data):
         h = data.draw(st.integers(2, 24))
-        eps = data.draw(st.sampled_from([0.0, 0.05, 0.1]))
-        delta = data.draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
-        try:
-            span = trimming_span(h, eps, delta)
-        except InfeasibleWindow:
-            assume(False)
         family = data.draw(st.sampled_from(_FAMILIES))
-        rows = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(1, 6))
         windows = np.asarray(data.draw(st.lists(
             st.lists(family, min_size=2 * h, max_size=2 * h),
             min_size=rows, max_size=rows)), dtype=np.float64)
         run = data.draw(st.integers(0, 2 * h))
         windows[:, :run] = windows[:, :1]  # a constant run
+        # each row its own span, as in the tournament
+        spans = np.asarray(data.draw(st.lists(
+            st.integers(1, h - 1), min_size=rows, max_size=rows)))
         seed = data.draw(st.integers(0, 2 ** 32))
         ids = np.asarray(data.draw(st.lists(
             st.integers(0, 10 ** 6), min_size=rows, max_size=rows)))
+        chunk = data.draw(st.sampled_from([1, 2, 1024]))
 
         # full-range magnitudes, up to +-1.7e308, overflow nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est, bad = _rume_batch(windows, ids, seed, span)
+            with mock.patch.object(RUME_MODULE, "_CHUNK", chunk):
+                out = _rume_batch(windows, ids, seed, spans)
             for i in range(rows):
-                out = rume(windows[i], RumeParams(eps, delta),
-                           substream(seed, int(ids[i])))
-                assert np.float64(out.estimate).tobytes() == est[i].tobytes()
-                assert out.degenerate == bad[i]
-        assert np.isfinite(est).all()
+                assert_row_is_oracle(out, i, windows[i], int(spans[i]),
+                                     substream(seed, int(ids[i])))
+        assert np.isfinite(out[0]).all()
 
     def test_degenerate_rows_near_float_max(self):
         # the median fallback's a + b overflows here, 0.5*a + 0.5*b does not
         window = [1.6e308, 1.6e308, 1.7e308, 1.7e308]
         params = RumeParams(0.0, math.exp(-0.14))
         span = trimming_span(2, 0.0, params.delta)
-        est, bad = _rume_batch(np.asarray([window] * 50), np.arange(50), 1,
-                               span)
+        out = _rume_batch(np.asarray([window] * 50), np.arange(50), 1, span)
+        bad = out[3] == 0
         assert bad.any()
-        assert (est[bad] == 0.5 * 1.6e308 + 0.5 * 1.7e308).all()
+        assert (out[0][bad] == 0.5 * 1.6e308 + 0.5 * 1.7e308).all()
         for sid in range(50):
-            out = rume(window, params, substream(1, sid))
-            assert np.float64(out.estimate).tobytes() == est[sid].tobytes()
+            assert_row_is_oracle(out, sid, window, span, substream(1, sid))
+            # scalar rume is the one-row call
+            one = rume(window, params, substream(1, sid))
+            assert np.float64(one.estimate).tobytes() == out[0][sid].tobytes()
+            assert one.interval == (out[1][sid], out[2][sid])
+            assert one.kept_count == out[3][sid]
+            assert one.degenerate == bad[sid]

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from arc_cpd import NoFeasibleCandidate, TimeSeries, substream
+from arc_cpd import (
+    NoFeasibleCandidate,
+    RumeParams,
+    TimeSeries,
+    rume,
+    substream,
+)
 from arc_cpd.tune import (
     TournamentConfig,
     default_grid,
@@ -25,6 +31,10 @@ def contaminated_training(seed: int, t: int = 300,
     mask = g.random(t) < eps
     values[mask] = 10.0
     return TimeSeries(values)
+
+
+def bits(value):
+    return None if value is None else np.float64(value).tobytes()
 
 
 class TestDefaultGrid:
@@ -131,6 +141,25 @@ class TestTournament:
                 assert res.estimates[j] is None
                 assert res.scores[j] is None
         assert res.feasible[res.selected_index]
+
+    def test_estimates_follow_named_streams(self):
+        # candidate j is rume on substream(rng.child_seed(), j), bit for bit
+        ts, delta = contaminated_training(21), 1.0 / 5000.0
+        rng = substream(9, 0)
+        res = tournament(ts, TournamentConfig(), 170, delta, rng)
+        assert not all(res.feasible)
+        base = rng.child_seed()
+        for j, ok in enumerate(res.feasible):
+            if ok:
+                out = rume(ts.values, RumeParams(default_grid()[j], delta),
+                           substream(base, j))
+                assert bits(out.estimate) == bits(res.estimates[j])
+        # one more, infeasible level moves no other candidate's estimate
+        wider = TournamentConfig(grid=default_grid() + (0.45,))
+        more = tournament(ts, wider, 170, delta, rng)
+        assert not more.feasible[-1]
+        assert [bits(e) for e in more.estimates[:-1]] == \
+            [bits(e) for e in res.estimates]
 
     def test_no_feasible_candidate(self):
         # a tiny detection window forces the effective level past the
