@@ -9,7 +9,8 @@ repetitions of generate -> detect -> score for each requested method:
     baseline  plain window means, threshold 3 * sigma * sqrt(log(n) / h)
 
 Randomness is hierarchical: master seed -> cell index -> repetition ->
-(0 = generator, 1 + method index = that method's detector). Rows therefore
+(0 = generator, 1 + method index = that method: 0 = its tournament,
+1 = its detector), all derived in _rep_seeds. Rows therefore
 never depend on execution order or worker process count, and run_grid
 output is byte-reproducible from the master seed.
 
@@ -26,6 +27,7 @@ import json
 import math
 import multiprocessing
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -33,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ArcCpdError, ChangePointSet, DetectionConfig, substream
+from .core import (ArcCpdError, ChangePointSet, DetectionConfig,
+                   RngStream, substream)
 from .detector import (
     DEFAULT_C_LAMBDA,
     SimulationDefaultLambda,
@@ -211,12 +214,24 @@ def _arc_policy(grid: ExperimentGrid):
     return TheoreticalLambda(grid.c_lambda)
 
 
+def _rep_seeds(cell_seed: int, r: int,
+               methods: int) -> Tuple[int, List[Tuple[RngStream, int]]]:
+    """Repetition r's generator seed and, per method, its tournament stream
+    and detector seed."""
+    rep_seed = substream(cell_seed, r).child_seed()
+    method_seeds = [substream(rep_seed, 1 + mi).child_seed()
+                    for mi in range(methods)]
+    return (substream(rep_seed, 0).child_seed(),
+            [(substream(m, 0), substream(m, 1).child_seed())
+             for m in method_seeds])
+
+
 def _run_method(method: str, ls: LabeledSeries, grid: ExperimentGrid,
-                cell: GridCell, method_seed: int) -> ChangePointSet:
+                cell: GridCell, tune_rng: RngStream,
+                detect_seed: int) -> ChangePointSet:
     h = cell.window // 2
     n = grid.n
     sigma = _cell_sigma(cell)
-    detect_seed = substream(method_seed, 1).child_seed()
 
     if method == "baseline":
         config = DetectionConfig(h=h, epsilon=0.0,
@@ -229,8 +244,7 @@ def _run_method(method: str, ls: LabeledSeries, grid: ExperimentGrid,
         tc = TournamentConfig(training_range=(0, grid.training_points),
                               sigma=sigma)
         eps = select_epsilon(ls.series, tc, detection_h=h,
-                             delta=_sim_delta(n, h, 0.0),
-                             rng=substream(method_seed, 0))
+                             delta=_sim_delta(n, h, 0.0), rng=tune_rng)
     else:
         eps = cell.epsilon if cell.epsilon is not None else 0.0
 
@@ -242,10 +256,8 @@ def _run_method(method: str, ls: LabeledSeries, grid: ExperimentGrid,
 
 
 def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
-               k_hats: List[int], abs_errs: List[int],
-               signed_errs: List[int], scaled: List[float],
-               truth_k: int, adv_k: int,
-               skipped: Optional[str] = None) -> BenchRow:
+               k_hats: List[int], scaled: List[float], truth_k: int,
+               adv_k: int, skipped: Optional[str] = None) -> BenchRow:
     reps = grid.reps
     if skipped is not None:
         nan = math.nan
@@ -253,8 +265,8 @@ def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
                         cell.kappa, cell.sigma, cell.window, method, reps,
                         nan, nan, nan, nan, nan, nan, 0, 0, {}, 0,
                         skipped=skipped)
-    abs_arr = np.asarray(abs_errs, dtype=np.float64)
-    signed_arr = np.asarray(signed_errs, dtype=np.float64)
+    signed_arr = np.asarray(k_hats, dtype=np.float64) - truth_k
+    abs_arr = np.abs(signed_arr)
     scaled_arr = np.asarray(scaled, dtype=np.float64)
     finite = scaled_arr[np.isfinite(scaled_arr)]
     excluded = int(scaled_arr.size - finite.size)
@@ -266,9 +278,7 @@ def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
         med = float(np.median(finite))
         sd_dh = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
         mean_dh = float(np.mean(finite))
-    hist: Dict[int, int] = {}
-    for k in k_hats:
-        hist[k] = hist.get(k, 0) + 1
+    hist = Counter(k_hats)
     return BenchRow(
         preset=grid.preset, n=grid.n, epsilon=cell.epsilon,
         delta_blocks=cell.blocks, kappa=cell.kappa, sigma=cell.sigma,
@@ -279,8 +289,8 @@ def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
         sd_scaled_dh=sd_dh,
         mean_scaled_dh=mean_dh,
         mean_signed_k_error=float(signed_arr.mean()),
-        hist_k_eq_K=sum(1 for k in k_hats if k == truth_k),
-        hist_k_eq_2D1=sum(1 for k in k_hats if k == adv_k),
+        hist_k_eq_K=hist[truth_k],
+        hist_k_eq_2D1=hist[adv_k],
         khat_histogram=dict(sorted(hist.items())),
         excluded_inf=excluded,
     )
@@ -288,40 +298,31 @@ def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
 
 def _run_cell(grid: ExperimentGrid, cell: GridCell) -> List[BenchRow]:
     cell_seed = substream(grid.master_seed, cell.index).child_seed()
-    acc = {m: {"k": [], "abs": [], "signed": [], "scaled": []}
-           for m in grid.methods}
+    acc = {m: ([], []) for m in grid.methods}
     dead: Dict[str, str] = {}
     truth_k = adv_k = 0
 
     for r in range(1, grid.reps + 1):
-        rep_seed = substream(cell_seed, r).child_seed()
-        gen_seed = substream(rep_seed, 0).child_seed()
+        gen_seed, method_seeds = _rep_seeds(cell_seed, r, len(grid.methods))
         ls = generate(_cell_spec(grid, cell, gen_seed))
         truth = ls.truth_f
         truth_k = truth.k
         adv_k = (2 * cell.blocks - 1) if cell.blocks else ls.truth_ey.k
-        for mi, method in enumerate(grid.methods):
+        for method, seeds in zip(grid.methods, method_seeds):
             if method in dead:
                 continue
-            m_seed = substream(rep_seed, 1 + mi).child_seed()
             try:
-                est = _run_method(method, ls, grid, cell, m_seed)
+                est = _run_method(method, ls, grid, cell, *seeds)
             except ArcCpdError as err:
                 dead[method] = str(err)
                 continue
-            a = acc[method]
-            a["k"].append(est.k)
-            a["abs"].append(abs(est.k - truth.k))
-            a["signed"].append(est.k - truth.k)
-            a["scaled"].append(hausdorff(est, truth) / grid.n)
+            k_hats, scaled = acc[method]
+            k_hats.append(est.k)
+            scaled.append(hausdorff(est, truth) / grid.n)
 
-    rows = []
-    for method in grid.methods:
-        a = acc[method]
-        rows.append(_aggregate(grid, cell, method, a["k"], a["abs"],
-                               a["signed"], a["scaled"], truth_k, adv_k,
-                               skipped=dead.get(method)))
-    return rows
+    return [_aggregate(grid, cell, method, *acc[method], truth_k, adv_k,
+                       skipped=dead.get(method))
+            for method in grid.methods]
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> List[BenchRow]:
@@ -385,14 +386,11 @@ def _phase_kappa(n: int, h: int, epsilon: float, sigma: float,
     cell_seed = substream(master_seed, ki).child_seed()
     wins = 0
     for r in range(1, reps + 1):
-        rep_seed = substream(cell_seed, r).child_seed()
-        gen_seed = substream(rep_seed, 0).child_seed()
+        gen_seed, [(_, det_seed)] = _rep_seeds(cell_seed, r, 1)
         spec = AttackSpec(
             Sine(epsilon=epsilon, amplitude=0.0, frequency=1.0,
                  kappa=kappa, sigma=sigma, truth=truth), n, gen_seed)
         ls = generate(spec)
-        det_seed = substream(substream(rep_seed, 1).child_seed(),
-                             1).child_seed()
         config = DetectionConfig(h=h, epsilon=epsilon,
                                  lambda_policy=TheoreticalLambda(c_lambda),
                                  delta=_sim_delta(n, h, epsilon),

@@ -5,9 +5,10 @@ generated series plus its ground truth), bench (grid experiments and the
 phase sweep), tune (tournament level selection only).
 
 Data files are single-column numeric text, one value per line with an
-optional one-line header, or two-column CSV whose first column (timestamp)
-is ignored. Reports are JSON with a versioned schema; non-finite numbers are
-serialized as the strings "inf" / "-inf" / "nan".
+optional one-line header, or two-column "timestamp,value" CSV whose first
+column is ignored; blank lines and lines starting with # are skipped.
+Reports are JSON with a versioned schema; non-finite numbers are serialized
+as the strings "inf" / "-inf" / "nan".
 
 Exit codes: 0 success, 2 bad flags or bad input, 3 infeasible window
 configuration (the failed feasibility arithmetic is printed).
@@ -16,6 +17,7 @@ configuration (the failed feasibility arithmetic is printed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -81,7 +83,7 @@ def read_series(path: str) -> TimeSeries:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
             fields = line.split(",")
             if len(fields) > 2:
@@ -296,24 +298,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _tuples(x):
+    """x with every JSON list, nested ones too, as a tuple."""
+    return tuple(_tuples(v) for v in x) if isinstance(x, list) else x
+
+
 def _grid_from_json(path: str) -> ExperimentGrid:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: grid description must be a JSON object")
-    allowed = {"preset", "n", "epsilons", "blocks", "kappas", "sigmas",
-               "windows", "reps", "methods", "master_seed", "lambda_policy",
-               "c_lambda", "training_points", "explicit_cells"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentGrid)}
     if unknown:
         raise ValueError(f"{path}: unknown grid keys {sorted(unknown)}")
-    for key in ("epsilons", "blocks", "kappas", "sigmas", "windows",
-                "methods"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    if "explicit_cells" in raw and raw["explicit_cells"] is not None:
-        raw["explicit_cells"] = tuple(tuple(c) for c in raw["explicit_cells"])
-    return ExperimentGrid(**raw)
+    return ExperimentGrid(**{k: _tuples(v) for k, v in raw.items()})
 
 
 def cmd_bench(args) -> int:

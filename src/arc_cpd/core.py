@@ -45,6 +45,7 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826
 
 _UINT64_MAX = 2**64 - 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class ArcCpdError(Exception):
@@ -282,21 +283,37 @@ def substream(master_seed: int, stream_id: int) -> RngStream:
     return RngStream(master_seed, stream_id)
 
 
+def _may_overflow(lowest, highest, width: int):
+    """Whether a sum of `width` terms within [lowest, highest] can overflow.
+
+    Elementwise on arrays.
+    """
+    bound = _FLOAT_MAX / width
+    return (lowest < -bound) | (highest > bound)
+
+
 def mad_sigma(series: Union[TimeSeries, Sequence[float]]) -> float:
     """Scale estimate 1.4826 * median(|Y - median(Y)|).
 
     Raises DegenerateScale when the median absolute deviation is zero, which
-    happens whenever more than half the values are identical.
+    happens whenever more than half the values are identical, or when the
+    scale exceeds float max.
     """
     values = series.values if isinstance(series, TimeSeries) else \
         np.asarray(series, dtype=np.float64)
     if values.size < 2:
         raise ValueError("scale estimation needs at least 2 values")
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med)))
+    # within +-max/4 no deviation and no sum of a middle pair overflows;
+    # scaling by a power of two is exact for normal floats
+    unit = 0.25 if _may_overflow(values.min(), values.max(), 4) else 1.0
+    scaled = unit * values
+    mad = float(np.median(np.abs(scaled - np.median(scaled)))) / unit
     if mad == 0.0:
         raise DegenerateScale("median absolute deviation is zero")
-    return MAD_TO_SIGMA * mad
+    scale = MAD_TO_SIGMA * mad
+    if scale > _FLOAT_MAX:
+        raise DegenerateScale("scale estimate exceeds float max")
+    return scale
 
 
 @dataclass(frozen=True)

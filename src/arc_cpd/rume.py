@@ -42,7 +42,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InfeasibleWindow, RngStream, substream
+from .core import InfeasibleWindow, RngStream, _may_overflow, substream
 
 __all__ = [
     "RumeParams",
@@ -84,18 +84,6 @@ class RumeOutcome:
     interval: Tuple[float, float]
     kept_count: int
     degenerate: bool
-
-
-_FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-def _may_overflow(lowest, highest, width: int):
-    """Whether a sum of `width` terms within [lowest, highest] can overflow.
-
-    Elementwise on arrays.
-    """
-    bound = _FLOAT_MAX / width
-    return (lowest < -bound) | (highest > bound)
 
 
 def effective_epsilon(epsilon: float, delta: float, h: int) -> float:

@@ -17,7 +17,6 @@ the detection half-width, sit out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -53,10 +52,29 @@ _EQUAL_RTOL = 1e-9
 _MARGIN_ATOL = 1e-12
 
 
-def _ties(theta_j, theta_k):
-    gap = np.abs(theta_j - theta_k)
-    scale = np.maximum(1.0, np.maximum(np.abs(theta_j), np.abs(theta_k)))
-    return gap <= _EQUAL_RTOL * scale
+def _beats(theta_a, theta_b, sorted_training: np.ndarray, sigma: float):
+    """1 where theta_b predicts the frequency of E_ab better, else 0.
+
+    Broadcasts over theta_a and theta_b; tied estimates score 0.
+    """
+    t = sorted_training.size
+    mid = 0.5 * theta_a + 0.5 * theta_b  # a plain sum can overflow
+    # E_ab = {y closer to theta_a}: below the midpoint when theta_a is the
+    # smaller model, above it when the larger
+    smaller = theta_a < theta_b
+    p_hat = np.where(
+        smaller, np.searchsorted(sorted_training, mid, side="left"),
+        t - np.searchsorted(sorted_training, mid, side="right")) / t
+    sign = np.where(smaller, 1.0, -1.0)
+    # past float max a gap is no tie, and the CDF's limit at inf is exact
+    with np.errstate(over="ignore"):
+        p_a = norm.cdf(sign * (mid - theta_a) / sigma)
+        p_b = norm.cdf(sign * (mid - theta_b) / sigma)
+        gap = np.abs(theta_a - theta_b)
+    scale = np.maximum(1.0, np.maximum(np.abs(theta_a), np.abs(theta_b)))
+    tie = gap <= _EQUAL_RTOL * scale
+    better = np.abs(p_hat - p_a) - np.abs(p_hat - p_b) > _MARGIN_ATOL
+    return (better & ~tie).astype(np.int64)
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> Tuple[float, ...]:
@@ -110,26 +128,13 @@ def pairwise_test(theta_j: float, theta_k: float,
                   training: Sequence[float], sigma: float) -> int:
     """1 when theta_k predicts the comparison-event frequency better, else 0.
 
-    Equal estimates carry no information and score 0.
+    Equal estimates carry no information and score 0. One pair of the
+    kernel the tournament runs over all pairs at once.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if _ties(theta_j, theta_k):
-        return 0
-    y = np.asarray(training, dtype=np.float64)
-    t = y.size
-    mid = 0.5 * (theta_j + theta_k)
-    # E_jk = {y closer to theta_j}: below the midpoint when theta_j is the
-    # smaller model, above it when the larger
-    if theta_j < theta_k:
-        p_hat = np.count_nonzero(y < mid) / t
-        sign = 1.0
-    else:
-        p_hat = np.count_nonzero(y > mid) / t
-        sign = -1.0
-    p_j = norm.cdf(sign * (mid - theta_j) / sigma)
-    p_k = norm.cdf(sign * (mid - theta_k) / sigma)
-    return int(abs(p_hat - p_j) - abs(p_hat - p_k) > _MARGIN_ATOL)
+    y = np.sort(np.asarray(training, dtype=np.float64))
+    return int(_beats(np.float64(theta_j), np.float64(theta_k), y, sigma))
 
 
 def _training_window(series: TimeSeries,
@@ -155,7 +160,9 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     stream substream(base, j) with base = rng.child_seed(), so estimates[j]
     equals rume(window, RumeParams(grid[j], delta), substream(base, j))
     bit for bit and feasibility filtering never shifts the randomness of
-    other candidates.
+    other candidates. All pairs then play in one call of the pairwise
+    kernel, so scores[j] counts the feasible k with
+    pairwise_test(estimates[j], estimates[k], window, sigma) == 1.
     """
     if detection_h < 2:
         raise ValueError("detection_h must be >= 2")
@@ -180,22 +187,8 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     theta = _rume_batch(np.broadcast_to(window, (k, window.size)), alive,
                         rng.child_seed(), np.asarray(spans))[0]
 
-    # all pairwise midpoints; strict event counts via one sorted pass
-    sorted_y = np.sort(window)
-    t = sorted_y.size
-    mid = 0.5 * (theta[:, None] + theta[None, :])
-    below = np.searchsorted(sorted_y, mid, side="left") / t
-    above = 1.0 - np.searchsorted(sorted_y, mid, side="right") / t
-    smaller = theta[:, None] < theta[None, :]
-    p_hat = np.where(smaller, below, above)
-    sign = np.where(smaller, 1.0, -1.0)
-    p_row = norm.cdf(sign * (mid - theta[:, None]) / tc.sigma)
-    p_col = norm.cdf(sign * (mid - theta[None, :]) / tc.sigma)
-    phi = (np.abs(p_hat - p_row) - np.abs(p_hat - p_col)
-           > _MARGIN_ATOL).astype(np.int64)
-    np.fill_diagonal(phi, 0)
-    phi[_ties(theta[:, None], theta[None, :])] = 0
-    alive_scores = phi.sum(axis=1)
+    alive_scores = _beats(theta[:, None], theta[None, :], np.sort(window),
+                          tc.sigma).sum(axis=1)
 
     estimates: list = [None] * m
     scores: list = [None] * m

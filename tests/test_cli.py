@@ -53,6 +53,11 @@ class TestReadSeries:
         p.write_text("1.0\n\n2.0\n\n")
         assert list(read_series(str(p)).values) == [1.0, 2.0]
 
+    def test_comment_lines_skipped(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# values\n1.0\n2.0\n# mid comment\n3.0\n")
+        assert list(read_series(str(p)).values) == [1.0, 2.0, 3.0]
+
     def test_three_columns_rejected(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1,2,3\n")
@@ -250,6 +255,19 @@ class TestBench:
         assert lines[1].split(",")[0] == "spurious"
         payload = json.loads(jout.read_text())
         assert payload[0]["method"] == "arc"
+
+    def test_grid_file_explicit_cells(self, tmp_path):
+        # nested JSON lists name the product grid's one cell
+        cells = dict(self.GRID, explicit_cells=[[0.1, 1, None, 1.0, 80]])
+        for key in ("epsilons", "blocks", "sigmas", "windows"):
+            del cells[key]
+        paths = []
+        for name, grid in (("product", self.GRID), ("cells", cells)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(grid))
+            paths.append(tmp_path / f"{name}.csv")
+            assert run(["bench", "--grid", str(tmp_path / f"{name}.json"),
+                        "--out", str(paths[-1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_grid_repeat_identical(self, tmp_path):
         grid_path = tmp_path / "grid.json"

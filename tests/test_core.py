@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -197,6 +198,33 @@ class TestMadSigma:
                 mad_sigma(scale * y + shift)
             return
         assert mad_sigma(scale * y + shift) == abs(scale) * base
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 1.0, 1e308, 1.7e308]),
+    ), min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_positive_or_degenerate(self, values):
+        # any finite series, magnitudes up to float max included
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                est = mad_sigma(values)
+            except DegenerateScale:
+                return
+        assert math.isfinite(est) and est > 0.0
+
+    def test_scale_near_float_max(self):
+        g = np.random.default_rng(8)
+        noise = g.normal(0.0, 1.0, 400)
+        values = np.r_[np.full(200, -1e308), np.full(200, 1e308)] + noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mad_sigma(values) == pytest.approx(1.4826e308)
+            # a MAD of 1.7e308 times 1.4826 is past float max
+            with pytest.raises(DegenerateScale):
+                mad_sigma(np.r_[np.full(100, -1.7e308),
+                                np.full(100, 1.7e308)])
 
 
 class TestDetectionConfig:

@@ -1,8 +1,15 @@
 """Tests for the contamination-level tournament."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
+import arc_cpd.tune as TUNE
 from arc_cpd import (
     NoFeasibleCandidate,
     RumeParams,
@@ -11,6 +18,8 @@ from arc_cpd import (
     substream,
 )
 from arc_cpd.tune import (
+    _EQUAL_RTOL,
+    _MARGIN_ATOL,
     TournamentConfig,
     default_grid,
     pairwise_test,
@@ -35,6 +44,41 @@ def contaminated_training(seed: int, t: int = 300,
 
 def bits(value):
     return None if value is None else np.float64(value).tobytes()
+
+
+def oracle_pairwise(theta_j, theta_k, training, sigma) -> int:
+    """The pairwise rule step by step for one ordered pair: the reference
+    the kernel in arc_cpd.tune is checked against."""
+    theta_j, theta_k = float(theta_j), float(theta_k)
+    scale = max(1.0, abs(theta_j), abs(theta_k))
+    if abs(theta_j - theta_k) <= _EQUAL_RTOL * scale:
+        return 0
+    y = np.asarray(training, dtype=np.float64)
+    t = y.size
+    mid = 0.5 * theta_j + 0.5 * theta_k
+    # E_jk = {y closer to theta_j}: below the midpoint when theta_j is the
+    # smaller model, above it when the larger
+    if theta_j < theta_k:
+        p_hat = np.count_nonzero(y < mid) / t
+        sign = 1.0
+    else:
+        p_hat = np.count_nonzero(y > mid) / t
+        sign = -1.0
+    p_j = norm.cdf(sign * (mid - theta_j) / sigma)
+    p_k = norm.cdf(sign * (mid - theta_k) / sigma)
+    return int(abs(p_hat - p_j) - abs(p_hat - p_k) > _MARGIN_ATOL)
+
+
+# value families for estimates and training values: heavy ties, a large
+# offset that leaves only the low bits to tell values apart, and magnitudes
+# whose plain midpoint overflows
+_FAMILIES = (
+    st.integers(-3, 3).map(float),
+    st.floats(-1.0, 1.0).map(lambda v: 1e6 + v),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.7e308, -1.6e308, -1.5e308, -1.0, 0.0, 1.0,
+                     1.5e308, 1.6e308, 1.7e308]),
+)
 
 
 class TestDefaultGrid:
@@ -106,6 +150,60 @@ class TestPairwiseTest:
                 continue
             assert (pairwise_test(a, b, training, 1.0)
                     + pairwise_test(b, a, training, 1.0)) <= 1
+
+
+class TestPairwiseKernel:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tournament_and_pairwise_test_equal_oracle(self, data):
+        family = data.draw(st.sampled_from(_FAMILIES))
+        theta = np.asarray(data.draw(st.lists(family, min_size=1,
+                                              max_size=6)))
+        # 40-60 training values keep every level of a short grid feasible
+        training = np.asarray(data.draw(st.lists(
+            family, min_size=40, max_size=60)), dtype=np.float64)
+        training = training[:training.size // 2 * 2]
+        sigma = data.draw(st.one_of(st.sampled_from([1e-300, 1.0, 1e300]),
+                                    st.floats(1e-300, 1e300)))
+        expected = np.asarray([[oracle_pairwise(a, b, training, sigma)
+                                for b in theta] for a in theta])
+
+        # the drawn values stand in for the candidate estimates
+        matrices, beats = [], TUNE._beats
+
+        def record(*args):
+            matrices.append(beats(*args))
+            return matrices[-1]
+
+        tc = TournamentConfig(grid=tuple(0.01 * j for j in range(theta.size)),
+                              training_range=(0, training.size), sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(TUNE, "_rume_batch",
+                                   lambda *args: (theta,)), \
+                    mock.patch.object(TUNE, "_beats", record):
+                res = tournament(TimeSeries(training), tc, 100, 0.5,
+                                 substream(0, 0))
+            assert all(res.feasible)
+            assert (matrices[0] == expected).all()
+            assert res.scores == tuple(int(s) for s in expected.sum(axis=1))
+            for i, a in enumerate(theta):
+                for j, b in enumerate(theta):
+                    assert pairwise_test(a, b, training, sigma) == \
+                        expected[i, j]
+
+    def test_near_float_max(self):
+        # the plain midpoint of these estimates is inf
+        training = np.full(50, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pairwise_test(1.6e308, 1.5e308, training, 1.0) == 1
+            assert pairwise_test(1.5e308, 1.6e308, training, 1.0) == 0
+            g = np.random.default_rng(4)
+            ts = TimeSeries(1.55e308 + 1e305 * g.normal(0.0, 1.0, 300))
+            res = tournament(ts, TournamentConfig(), 150, 0.2,
+                             substream(14, 0))
+        assert res.feasible[res.selected_index]
 
 
 class TestTournament:
