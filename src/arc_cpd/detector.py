@@ -108,18 +108,22 @@ LambdaPolicy = Union[ManualLambda, TheoreticalLambda, SimulationDefaultLambda,
 
 def resolve_lambda(policy: LambdaPolicy, *, sigma: float, epsilon: float,
                    epsilon_eff: float, h: int, n: int) -> float:
-    """Concrete threshold value for a policy in a given run context."""
+    """Concrete threshold value for a policy in a given run context.
+
+    The epsilon terms scale sigma * epsilon by 8, which is exact, so a
+    sigma past float max / 8 still gives a finite threshold.
+    """
     if isinstance(policy, ManualLambda):
         return policy.value
     if isinstance(policy, TheoreticalLambda):
         return policy.c_lambda * sigma * math.sqrt(epsilon_eff)
     if isinstance(policy, SimulationDefaultLambda):
-        return max(0.6 * sigma, 8.0 * sigma * epsilon)
+        return max(0.6 * sigma, 8.0 * (sigma * epsilon))
     base = 1.2 * sigma * math.sqrt(5.0 * math.log(n) / h)
     if isinstance(policy, RealDataLambda):
-        return max(base, 8.0 * sigma * epsilon)
+        return max(base, 8.0 * (sigma * epsilon))
     if isinstance(policy, RealDataHeavyTailLambda):
-        return max(base, 8.0 * sigma * math.sqrt(epsilon))
+        return max(base, 8.0 * (sigma * math.sqrt(epsilon)))
     raise TypeError(f"unknown lambda policy: {policy!r}")
 
 
@@ -280,6 +284,8 @@ def _scan_report(series: TimeSeries, config: DetectionConfig,
     lam = threshold(_resolve_sigma(series, config))
     if lam <= 0:
         raise LambdaResolutionFailure(f"resolved lambda {lam} is not positive")
+    if not math.isfinite(lam):
+        raise LambdaResolutionFailure(f"resolved lambda {lam} is not finite")
     _check_length(series, h)
     curve, degenerate = _finite_scan(scan, h)
     radius = config.maximizer_radius or 4 * h

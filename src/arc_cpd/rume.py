@@ -27,7 +27,10 @@ One row-wise kernel, `_rume_batch`, computes the estimator for the scan,
 the tournament and `rume` alike. Windows whose extremes could overflow a
 sum of 2h terms take the shorth widths as 0.5*high - 0.5*low, the mean as
 a sum of pre-divided terms clipped into the kept interval and the median
-as 0.5*a + 0.5*b.
+as 0.5*a + 0.5*b. One helper, `_feasibility`, evaluates steps (2) and (3)
+elementwise over epsilon: the tournament calls it on the whole grid, and
+`effective_epsilon`, `feasibility_value`, `is_feasible` and
+`trimming_span` are one-level calls.
 
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
@@ -86,20 +89,33 @@ class RumeOutcome:
     degenerate: bool
 
 
+def _feasibility(h: int, epsilon, delta: float):
+    """Steps (2) and (3) at half-width h, elementwise over epsilon.
+
+    Returns (eps_eff, value, span): value is the left-hand side of the
+    feasibility condition and span the float floor D. x stays a Python
+    float, so every entry has the bits of the scalar formula.
+    """
+    x = math.log(1.0 / delta) / h
+    eps_eff = np.maximum(epsilon, x)
+    two_eps, two_root = 2.0 * eps_eff, 2.0 * np.sqrt(eps_eff * x)
+    value = two_eps + two_root + x
+    span = np.floor(h * (1.0 - two_eps - two_root - x))
+    return eps_eff, value, span
+
+
 def effective_epsilon(epsilon: float, delta: float, h: int) -> float:
     """Inflated contamination rate max(epsilon, log(1/delta) / h)."""
     if h < 1:
         raise ValueError("h must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    return max(epsilon, math.log(1.0 / delta) / h)
+    return float(_feasibility(h, epsilon, delta)[0])
 
 
 def feasibility_value(h: int, epsilon: float, delta: float) -> float:
     """Left-hand side of the feasibility condition; must be < 1/2."""
-    x = math.log(1.0 / delta) / h
-    eps_eff = max(epsilon, x)
-    return 2.0 * eps_eff + 2.0 * math.sqrt(eps_eff * x) + x
+    return float(_feasibility(h, epsilon, delta)[1])
 
 
 def is_feasible(h: int, epsilon: float, delta: float) -> bool:
@@ -108,12 +124,11 @@ def is_feasible(h: int, epsilon: float, delta: float) -> bool:
 
 def trimming_span(h: int, epsilon: float, delta: float) -> int:
     """The span D of step (3); raises InfeasibleWindow outside [1, h-1]."""
-    x = math.log(1.0 / delta) / h
-    eps_eff = max(epsilon, x)
-    d = math.floor(h * (1.0 - 2.0 * eps_eff - 2.0 * math.sqrt(eps_eff * x) - x))
+    eps_eff, value, span = _feasibility(h, epsilon, delta)
+    d = int(span)
     if d < 1 or d > h - 1:
-        raise InfeasibleWindow(h, epsilon, delta, eps_eff,
-                               feasibility_value(h, epsilon, delta), d)
+        raise InfeasibleWindow(h, epsilon, delta, float(eps_eff),
+                               float(value), d)
     return d
 
 

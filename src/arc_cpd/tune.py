@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core import NoFeasibleCandidate, RngStream, TimeSeries
-from .rume import _rume_batch, is_feasible, trimming_span
+from .rume import _feasibility, _rume_batch, trimming_span
 from .rume import rume  # noqa: F401  perfbench/tracer.py wraps tune.rume
 
 __all__ = [
@@ -55,22 +55,25 @@ _MARGIN_ATOL = 1e-12
 def _beats(theta_a, theta_b, sorted_training: np.ndarray, sigma: float):
     """1 where theta_b predicts the frequency of E_ab better, else 0.
 
-    Broadcasts over theta_a and theta_b; tied estimates score 0.
+    Broadcasts over theta_a and theta_b; tied estimates score 0. One
+    search of the sorted training counts the event for every pair.
     """
     t = sorted_training.size
     mid = 0.5 * theta_a + 0.5 * theta_b  # a plain sum can overflow
     # E_ab = {y closer to theta_a}: below the midpoint when theta_a is the
     # smaller model, above it when the larger
     smaller = theta_a < theta_b
-    p_hat = np.where(
-        smaller, np.searchsorted(sorted_training, mid, side="left"),
-        t - np.searchsorted(sorted_training, mid, side="right")) / t
     sign = np.where(smaller, 1.0, -1.0)
-    # past float max a gap is no tie, and the CDF's limit at inf is exact
+    # past float max a gap is no tie, a step past it is inf where the count
+    # stays exact, and the CDF's limit at inf is exact
     with np.errstate(over="ignore"):
-        p_a = norm.cdf(sign * (mid - theta_a) / sigma)
-        p_b = norm.cdf(sign * (mid - theta_b) / sigma)
+        # #{y > mid} = t - #{y <= mid} = t - #{y < nextafter(mid, inf)}
+        edge = np.where(smaller, mid, np.nextafter(mid, np.inf))
+        p_a = ndtr(sign * (mid - theta_a) / sigma)
+        p_b = ndtr(sign * (mid - theta_b) / sigma)
         gap = np.abs(theta_a - theta_b)
+    below = np.searchsorted(sorted_training, edge, side="left")
+    p_hat = np.where(smaller, below, t - below) / t
     scale = np.maximum(1.0, np.maximum(np.abs(theta_a), np.abs(theta_b)))
     tie = gap <= _EQUAL_RTOL * scale
     better = np.abs(p_hat - p_a) - np.abs(p_hat - p_b) > _MARGIN_ATOL
@@ -129,11 +132,16 @@ def pairwise_test(theta_j: float, theta_k: float,
     """1 when theta_k predicts the comparison-event frequency better, else 0.
 
     Equal estimates carry no information and score 0. One pair of the
-    kernel the tournament runs over all pairs at once.
+    kernel the tournament runs over all pairs at once. Raises ValueError
+    on empty or non-finite training and on a non-finite estimate.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     y = np.sort(np.asarray(training, dtype=np.float64))
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("training must be one-dimensional and nonempty")
+    if not (np.isfinite(y).all() and np.isfinite([theta_j, theta_k]).all()):
+        raise ValueError("training values and estimates must be finite")
     return int(_beats(np.float64(theta_j), np.float64(theta_k), y, sigma))
 
 
@@ -155,13 +163,16 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
                delta: float, rng: RngStream) -> TournamentResult:
     """Run the full candidate tournament and report scores per grid point.
 
-    Every feasible candidate j is one row of a single estimator call over
-    the training window: span trimming_span(h_train, grid[j], delta) and
-    stream substream(base, j) with base = rng.child_seed(), so estimates[j]
-    equals rume(window, RumeParams(grid[j], delta), substream(base, j))
-    bit for bit and feasibility filtering never shifts the randomness of
-    other candidates. All pairs then play in one call of the pairwise
-    kernel, so scores[j] counts the feasible k with
+    Each stage is one call over all levels. The feasibility condition is
+    evaluated over the whole grid once at h_train and once at
+    detection_h, with the bits of is_feasible and trimming_span per level.
+    Every feasible candidate j is then one row of a single estimator call
+    over the training window: span trimming_span(h_train, grid[j], delta)
+    and stream substream(base, j) with base = rng.child_seed(), so
+    estimates[j] equals rume(window, RumeParams(grid[j], delta),
+    substream(base, j)) bit for bit and feasibility filtering never shifts
+    the randomness of other candidates. All pairs then play in one call of
+    the pairwise kernel, so scores[j] counts the feasible k with
     pairwise_test(estimates[j], estimates[k], window, sigma) == 1.
     """
     if detection_h < 2:
@@ -170,40 +181,44 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
         raise ValueError("delta must lie in (0, 1)")
     window = _training_window(series, tc)
     h_train = window.size // 2
-    m = len(tc.grid)
+    grid = np.asarray(tc.grid)
 
-    feasible = [is_feasible(h_train, e, delta) and
-                is_feasible(detection_h, e, delta) for e in tc.grid]
-    if not any(feasible):
+    _, value, spans = _feasibility(h_train, grid, delta)
+    feasible = (value < 0.5) & (_feasibility(detection_h, grid, delta)[1] < 0.5)
+    if not feasible.any():
         raise NoFeasibleCandidate(
             f"no grid level passes the feasibility condition at "
             f"h_train = {h_train} and h = {detection_h} with delta = {delta:g}")
     if window.size < 4:
         raise ValueError("training window must hold >= 4 values")
 
-    alive = [j for j in range(m) if feasible[j]]
-    k = len(alive)
-    spans = [trimming_span(h_train, tc.grid[j], delta) for j in alive]
+    alive = np.flatnonzero(feasible)
+    k = alive.size
+    spans = spans[alive]
+    # a feasible level has span D = h when delta lies within rounding of 1;
+    # trimming_span raises for the first of them
+    wide = alive[spans > h_train - 1]
+    if wide.size:
+        trimming_span(h_train, tc.grid[wide[0]], delta)
     theta = _rume_batch(np.broadcast_to(window, (k, window.size)), alive,
-                        rng.child_seed(), np.asarray(spans))[0]
+                        rng.child_seed(), spans.astype(np.int64))[0]
 
     alive_scores = _beats(theta[:, None], theta[None, :], np.sort(window),
                           tc.sigma).sum(axis=1)
 
-    estimates: list = [None] * m
-    scores: list = [None] * m
-    for pos, j in enumerate(alive):
-        estimates[j], scores[j] = float(theta[pos]), int(alive_scores[pos])
+    # None marks the infeasible levels
+    estimates, scores = np.full((2, grid.size), None)
+    estimates[alive], scores[alive] = theta.tolist(), alive_scores.tolist()
     best_pos = int(np.argmin(alive_scores))
-    best = alive[best_pos]
+    best = int(alive[best_pos])
     assert 0 <= alive_scores[best_pos] <= k - 1
 
     return TournamentResult(
         epsilon_selected=tc.grid[best],
         selected_index=best,
-        scores=tuple(scores),
-        estimates=tuple(estimates),
-        feasible=tuple(feasible),
+        scores=tuple(scores.tolist()),
+        estimates=tuple(estimates.tolist()),
+        feasible=tuple(feasible.tolist()),
     )
 
 

@@ -118,6 +118,15 @@ class TestDetect:
         assert code == 2
         assert "scan index 185" in capsys.readouterr().err
 
+    def test_infinite_lambda_exits_2(self, gaussian_file, capsys):
+        code = run(["detect", "--input", gaussian_file, "--h", "50",
+                    "--epsilon", "0.05", "--lambda-policy", "realdata",
+                    "--sigma", "1.6e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lambda inf is not finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_report_deterministic(self, gaussian_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["detect", "--input", gaussian_file, "--h", "60", "--epsilon",

@@ -70,6 +70,32 @@ class TestResolveLambda:
         assert resolve_lambda(RealDataHeavyTailLambda(), **self.kwargs) == \
             pytest.approx(want)
 
+    @given(st.floats(1e-200, 1e200), st.floats(1e-6, 0.49))
+    @settings(max_examples=300, deadline=None)
+    def test_epsilon_terms_keep_their_bits(self, sigma, epsilon):
+        # scaling by 8 is exact, so sigma * epsilon taken first changes no
+        # bit of the left-to-right products on normal floats
+        kw = dict(sigma=sigma, epsilon=epsilon, epsilon_eff=epsilon, h=100,
+                  n=5000)
+        base = 1.2 * sigma * math.sqrt(5.0 * math.log(5000) / 100)
+        for policy, want in (
+                (SimulationDefaultLambda(),
+                 max(0.6 * sigma, 8.0 * sigma * epsilon)),
+                (RealDataLambda(), max(base, 8.0 * sigma * epsilon)),
+                (RealDataHeavyTailLambda(),
+                 max(base, 8.0 * sigma * math.sqrt(epsilon)))):
+            assert resolve_lambda(policy, **kw) == want
+
+    def test_sigma_past_float_max_over_8_stays_finite(self):
+        # 8 * 1e308 is inf; 8 * (1e308 * 0.2) is 1.6e308
+        for policy in (SimulationDefaultLambda(), RealDataLambda()):
+            lam = resolve_lambda(policy, sigma=1e308, epsilon=0.2,
+                                 epsilon_eff=0.2, h=100, n=1000)
+            assert lam == 8.0 * (1e308 * 0.2)
+        lam = resolve_lambda(RealDataHeavyTailLambda(), sigma=1e308,
+                             epsilon=0.04, epsilon_eff=0.04, h=100, n=1000)
+        assert lam == 8.0 * (1e308 * math.sqrt(0.04))
+
 
 class TestScanStatistic:
     def test_constant_series_is_identically_zero(self):
@@ -242,6 +268,33 @@ class TestDetect:
                 scan(TimeSeries(x), cfg)
             assert exc.value.scan_index == 185
             assert "scan index 185" in str(exc.value)
+
+    def test_large_auto_sigma_keeps_affine_equivariance(self):
+        # the MAD scale of this series is 2.97e307, past float max / 8
+        g = np.random.default_rng(0)
+        x = np.concatenate([0.5e308 + g.normal(0, 1e300, 500),
+                            0.9e308 + g.normal(0, 1e300, 500)])
+        cfg = DetectionConfig(h=20, epsilon=0.05, delta=0.05,
+                              lambda_policy=SimulationDefaultLambda())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = detect(TimeSeries(x), cfg)
+        small = detect(TimeSeries(x * 1e-300), cfg)
+        assert math.isfinite(big.lambda_used)
+        assert big.lambda_used == pytest.approx(small.lambda_used * 1e300)
+        assert big.estimated.locations == small.estimated.locations
+        assert big.estimated.k == 1
+
+    @pytest.mark.parametrize("policy", [RealDataLambda(),
+                                        TheoreticalLambda(2.0),
+                                        ManualLambda(math.inf)])
+    def test_infinite_lambda_is_reported(self, policy):
+        # the 1.2 * sigma and c * sigma products overflow at this scale
+        g = np.random.default_rng(1)
+        cfg = DetectionConfig(h=20, epsilon=0.05, delta=0.05,
+                              lambda_policy=policy, sigma=1.6e308)
+        with pytest.raises(LambdaResolutionFailure, match="not finite"):
+            detect(TimeSeries(g.normal(0, 1, 400)), cfg)
 
     def test_auto_sigma_failure_is_reported(self):
         cfg = DetectionConfig(h=100, epsilon=0.1,

@@ -11,15 +11,19 @@ import arc_cpd
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_demo(name: str) -> str:
+def run_python(*args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+    done = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           timeout=300, check=False)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_demo(name: str) -> str:
+    return run_python(str(ROOT / "demos" / name))
 
 
 class TestExports:
@@ -36,6 +40,15 @@ class TestExports:
                      "generate", "TimeSeries"):
             assert name in namespace
         assert "bench" not in namespace and "detector" not in namespace
+
+
+class TestImport:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats roughly doubles the import's time and peak memory;
+        # the package needs only scipy.special and scipy.ndimage
+        out = run_python("-c", "import sys, arc_cpd; "
+                               "print('scipy.stats' in sys.modules)")
+        assert out.strip() == "False"
 
 
 class TestDemos:

@@ -10,16 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_cpd.rume import _rume_batch
+from arc_cpd.rume import _feasibility, _rume_batch
 from arc_cpd import (
     InfeasibleWindow,
+    NoFeasibleCandidate,
     RumeParams,
+    TimeSeries,
+    TournamentConfig,
     auto_delta,
     effective_epsilon,
+    feasibility_value,
     is_feasible,
     rume,
     shorth_interval,
     substream,
+    tournament,
     trimming_span,
 )
 
@@ -67,6 +72,82 @@ class TestTrimmingSpan:
     def test_monotone_in_epsilon(self):
         spans = [trimming_span(100, e, 0.01) for e in (0.0, 0.05, 0.1, 0.15)]
         assert spans == sorted(spans, reverse=True)
+
+
+def oracle_feasibility(h, epsilon, delta):
+    """Steps (2) and (3) in scalar Python for one level: the reference the
+    elementwise helper in arc_cpd.rume is checked against. Returns
+    (eps_eff, value, span)."""
+    x = math.log(1.0 / delta) / h
+    eps_eff = max(epsilon, x)
+    value = 2.0 * eps_eff + 2.0 * math.sqrt(eps_eff * x) + x
+    d = math.floor(h * (1.0 - 2.0 * eps_eff - 2.0 * math.sqrt(eps_eff * x) - x))
+    return eps_eff, value, d
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+_EPSILONS = st.floats(0.0, 0.5, exclude_max=True)
+# every normal delta in (0, 1), the extremes drawn on purpose; at 1 - 1e-16
+# a level can pass the condition with span D = h
+_DELTAS = st.one_of(st.sampled_from([1e-300, 1.0 - 1e-16]),
+                    st.floats(float(np.finfo(np.float64).tiny), 1.0,
+                              exclude_max=True))
+
+
+class TestFeasibilityMatchesOracle:
+    @given(st.integers(1, 5000), _EPSILONS, _DELTAS)
+    @settings(max_examples=500, deadline=None)
+    def test_scalar_calls_equal_oracle(self, h, eps, delta):
+        eps_eff, value, d = oracle_feasibility(h, eps, delta)
+        assert bits(effective_epsilon(eps, delta, h)) == bits(eps_eff)
+        assert bits(feasibility_value(h, eps, delta)) == bits(value)
+        assert is_feasible(h, eps, delta) == (value < 0.5)
+        if 1 <= d <= h - 1:
+            assert trimming_span(h, eps, delta) == d
+            return
+        with pytest.raises(InfeasibleWindow) as exc:
+            trimming_span(h, eps, delta)
+        err = exc.value
+        assert (err.h, err.epsilon, err.delta, err.span) == (h, eps, delta, d)
+        assert bits(err.epsilon_eff) == bits(eps_eff)
+        assert bits(err.condition_value) == bits(value)
+
+    @given(st.integers(1, 5000), st.lists(_EPSILONS, min_size=1, max_size=20),
+           _DELTAS)
+    @settings(max_examples=200, deadline=None)
+    def test_helper_is_the_oracle_per_level(self, h, epsilons, delta):
+        eps_eff, value, span = _feasibility(h, np.asarray(epsilons), delta)
+        for i, eps in enumerate(epsilons):
+            want = oracle_feasibility(h, eps, delta)
+            assert bits(eps_eff[i]) == bits(want[0])
+            assert bits(value[i]) == bits(want[1])
+            assert span[i] == want[2]
+
+    @given(st.integers(2, 400), st.sampled_from([2, 40, 170, 511]), _DELTAS)
+    @settings(max_examples=100, deadline=None)
+    def test_tournament_feasibility_is_the_oracle(self, h_train, h, delta):
+        series = TimeSeries(np.random.default_rng(h_train).normal(
+            0.0, 1.0, 2 * h_train))
+        tc = TournamentConfig(grid=tuple(np.linspace(0.0, 0.49, 50)),
+                              training_range=(0, 2 * h_train))
+        levels = [(oracle_feasibility(h_train, e, delta),
+                   oracle_feasibility(h, e, delta)) for e in tc.grid]
+        want = tuple(t[1] < 0.5 and d[1] < 0.5 for t, d in levels)
+        wide = [t[2] for (t, _), ok in zip(levels, want)
+                if ok and not 1 <= t[2] <= h_train - 1]
+        if not any(want):
+            with pytest.raises(NoFeasibleCandidate):
+                tournament(series, tc, h, delta, substream(0, 0))
+        elif wide:
+            with pytest.raises(InfeasibleWindow) as exc:
+                tournament(series, tc, h, delta, substream(0, 0))
+            assert exc.value.span == wide[0]
+        else:
+            res = tournament(series, tc, h, delta, substream(0, 0))
+            assert res.feasible == want
 
 
 class TestAutoDelta:

@@ -151,6 +151,18 @@ class TestPairwiseTest:
             assert (pairwise_test(a, b, training, 1.0)
                     + pairwise_test(b, a, training, 1.0)) <= 1
 
+    @pytest.mark.parametrize("training, theta_j, theta_k", [
+        ([], 0.0, 1.0),
+        ([0.0, np.nan, 1.0], 0.0, 1.0),
+        ([0.0, np.inf, 1.0], 0.0, 1.0),
+        ([0.0, 1.0], np.nan, 1.0),
+        ([0.0, 1.0], 0.0, -np.inf),
+    ])
+    def test_rejects_empty_or_nonfinite_input(self, training, theta_j,
+                                              theta_k):
+        with pytest.raises(ValueError):
+            pairwise_test(theta_j, theta_k, training, 1.0)
+
 
 class TestPairwiseKernel:
     @given(st.data())
