@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -130,8 +131,8 @@ def _parse_sigma(raw: str) -> Optional[float]:
     if raw == "auto":
         return None
     value = float(raw)
-    if value <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError("sigma must be positive and finite")
     return value
 
 

@@ -5,11 +5,14 @@ the types in this module. All of them are immutable value objects, safe to
 share across threads. Randomness is organized as named substreams: a
 (master_seed, stream_id) pair maps to one reproducible generator, so any
 computation that owns its stream ids produces bit-identical results no matter
-how work is scheduled.
+how work is scheduled. The scan and the tournament draw one permutation from
+each of many streams; `_permutations` reproduces those streams in one batch,
+bit for bit, without building a generator per stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -270,7 +273,12 @@ class RngStream:
                                       spawn_key=(self.stream_id,))
 
     def generator(self) -> np.random.Generator:
-        """A fresh generator positioned at the start of this stream."""
+        """A fresh generator positioned at the start of this stream.
+
+        The scan and the tournament do not call this per window: they take
+        each stream's first permutation from `_permutations`, which seeds
+        all their streams in one batch and gives the same bits.
+        """
         return np.random.Generator(np.random.PCG64(self._seed_seq()))
 
     def child_seed(self) -> int:
@@ -281,6 +289,93 @@ class RngStream:
 def substream(master_seed: int, stream_id: int) -> RngStream:
     """Deterministic, collision-free mapping (seed, id) -> stream."""
     return RngStream(master_seed, stream_id)
+
+
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier; NEP 19
+# keeps both seeding steps stable across numpy releases
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix on 32-bit words held in Python ints or uint64
+    arrays; returns the hashed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _M32
+    value = (value * hash_const) & _M32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ (result >> 16)
+
+
+def _spawn_states(seed: int, ids) -> np.ndarray:
+    """Row r is SeedSequence(seed, spawn_key=(ids[r],)).generate_state(4,
+    np.uint64), vectorized over ids.
+
+    A spawned SeedSequence hashes the seed's 32-bit words, zero-padded to
+    its pool of 4, then each id word into every pool word. The first part
+    depends only on the seed, and the hash constants advance without
+    looking at the data, so only the id words are mixed per row.
+    """
+    pool, hc = [], _INIT_A
+    for word in (seed & _M32, seed >> 32, 0, 0):
+        value, hc = _hashmix(word, hc)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], value)
+
+    ids = np.asarray(ids, dtype=np.uint64)
+    pool = [np.full(ids.shape, p, dtype=np.uint64) for p in pool]
+    high = ids >> np.uint64(32)
+    two_words = high != 0  # ids past 2^32 carry a second word
+    for k, word in enumerate((ids & np.uint64(_M32), high)):
+        for dst in range(4):
+            value, hc = _hashmix(word, hc)
+            mixed = _mix(pool[dst], value)
+            pool[dst] = mixed if k == 0 else np.where(two_words, mixed,
+                                                      pool[dst])
+
+    words, hc = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hc
+        hc = (hc * _MULT_B) & _M32
+        value = (value * hc) & _M32
+        words.append(value ^ (value >> 16))
+    return np.stack([words[2 * i] | (words[2 * i + 1] << np.uint64(32))
+                     for i in range(4)], axis=1)
+
+
+def _permutations(seed: int, ids, width: int) -> np.ndarray:
+    """Row r is the first `permutation` of `width` positions drawn by
+    substream(seed, ids[r]).generator(), bit for bit.
+
+    The seeding runs in one batch (`_spawn_states`, then PCG64's
+    `state = (inc + s) * MULT + inc` with `inc = 2 t + 1` for the state
+    words s, t), and each row sets that state on one generator made per
+    call, so the shuffle is numpy's own.
+    """
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    state = {"bit_generator": "PCG64", "state": None,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(ids), width), dtype=np.int64)
+    for r, (s0, s1, t0, t1) in enumerate(_spawn_states(seed, ids).tolist()):
+        inc = ((((t0 << 64) | t1) << 1) | 1) & _M128
+        start = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
+        state["state"] = {"state": start, "inc": inc}
+        bit_gen.state = state
+        out[r] = gen.permutation(width)
+    return out
 
 
 def _may_overflow(lowest, highest, width: int):
@@ -343,8 +438,8 @@ class DetectionConfig:
             raise ValueError("epsilon must lie in [0, 0.5)")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.maximizer_radius is not None and int(self.maximizer_radius) < 1:
             raise ValueError("maximizer_radius must be >= 1")
         if not (0 <= int(self.seed) <= _UINT64_MAX):

@@ -67,12 +67,16 @@ DEFAULT_C_LAMBDA = 1.2
 
 @dataclass(frozen=True)
 class ManualLambda:
-    """Fixed threshold supplied by the caller."""
+    """Fixed threshold supplied by the caller.
+
+    An infinite value is accepted here and reported by detect as a
+    LambdaResolutionFailure, as the policies' overflowing products are.
+    """
 
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
+        if not self.value > 0:
             raise ValueError("lambda must be positive")
 
 
@@ -83,8 +87,8 @@ class TheoreticalLambda:
     c_lambda: float = DEFAULT_C_LAMBDA
 
     def __post_init__(self):
-        if self.c_lambda <= 0:
-            raise ValueError("c_lambda must be positive")
+        if not 0.0 < self.c_lambda < math.inf:
+            raise ValueError("c_lambda must be positive and finite")
 
 
 @dataclass(frozen=True)

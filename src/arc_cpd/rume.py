@@ -5,7 +5,10 @@ contamination. Given a window of 2h values and a failure level delta in
 (0, 1):
 
 1. Sort the window and randomly split it into halves Z and Z' of size h
-   (a seeded index shuffle; the first h shuffled positions form Z).
+   (a seeded index shuffle; the first h shuffled positions form Z). The
+   shuffle is numpy's `permutation` of 2h positions from the window's
+   stream; a batch of windows seeds all its streams at once
+   (`core._permutations`).
 2. Inflate the contamination rate: eps_eff = max(eps, log(1/delta) / h).
 3. Compute the trimming span
 
@@ -45,7 +48,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InfeasibleWindow, RngStream, _may_overflow, substream
+from .core import InfeasibleWindow, RngStream, _may_overflow, _permutations
 
 __all__ = [
     "RumeParams",
@@ -194,7 +197,8 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
                 spans: Union[int, np.ndarray]):
     """The estimator over many windows of equal width 2h, one per row.
 
-    Row i is split by substream(seed, stream_ids[i]) and trimmed with span
+    Row i is split by the permutation of substream(seed, stream_ids[i]),
+    each chunk's taken in one `_permutations` call, and trimmed with span
     spans[i]; one int serves every row. The outcome depends only on each
     row's value multiset and stream. Returns (estimates, lows, highs, kept):
     a row with kept == 0 is degenerate and its estimate is the median of
@@ -210,10 +214,7 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
         stop = min(start + _CHUNK, m)
         ws = np.sort(windows[start:stop], axis=1)
         c = stop - start
-        perms = np.empty((c, width), dtype=np.int64)
-        for i in range(c):
-            g = substream(seed, int(stream_ids[start + i])).generator()
-            perms[i] = g.permutation(width)
+        perms = _permutations(seed, stream_ids[start:stop], width)
         # sorted positions keep both halves ascending
         z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
         z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)

@@ -17,6 +17,7 @@ the detection half-width, sit out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -112,8 +113,8 @@ class TournamentConfig:
             raise ValueError("training range must contain at least 2 points")
         if a < 0:
             raise ValueError("training range start must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def pairwise_test(theta_j: float, theta_k: float,
     kernel the tournament runs over all pairs at once. Raises ValueError
     on empty or non-finite training and on a non-finite estimate.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     y = np.sort(np.asarray(training, dtype=np.float64))
     if y.ndim != 1 or y.size == 0:
         raise ValueError("training must be one-dimensional and nonempty")

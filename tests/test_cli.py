@@ -341,6 +341,13 @@ class TestTune:
         assert run(["tune", "--input", data, "--train-range", "zero-300",
                     "--sigma", "1"]) == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_nonfinite_sigma_exits_2(self, tmp_path, sigma, capsys):
+        data = write_values(tmp_path / "c.csv", [4.0] * 300)
+        assert run(["tune", "--input", data, "--train-range", "0:300",
+                    "--sigma", sigma]) == 2
+        assert "--sigma" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):

@@ -2,13 +2,15 @@
 
 import math
 import pickle
+import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arc_cpd import (
@@ -27,10 +29,12 @@ from arc_cpd import (
     SeriesTooShort,
     SpecInvalid,
     TimeSeries,
+    detect,
     mad_sigma,
     substream,
     validate_series,
 )
+from arc_cpd.core import _permutations, _spawn_states
 
 
 class TestValidateSeries:
@@ -160,6 +164,56 @@ class TestSubstream:
             substream(0, 2**64)
 
 
+# ids at the edges of one and two 32-bit words
+_EDGE_IDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestBatchedStreams:
+    @given(seed=st.integers(0, 2**64 - 1),
+           ids=st.lists(st.one_of(st.sampled_from(_EDGE_IDS),
+                                  st.integers(0, 2**32 - 1),
+                                  st.integers(2**32, 2**64 - 1)),
+                        min_size=1, max_size=6),
+           width=st.integers(4, 400))
+    @example(seed=0, ids=_EDGE_IDS, width=4)
+    @example(seed=2**64 - 1, ids=_EDGE_IDS, width=400)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_numpy_streams(self, seed, ids, width):
+        states = _spawn_states(seed, ids)
+        perms = _permutations(seed, ids, width)
+        assert perms.shape == (len(ids), width)
+        for r, stream_id in enumerate(ids):
+            seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+            assert np.array_equal(states[r],
+                                  seq.generate_state(4, np.uint64))
+            want = substream(seed, stream_id).generator().permutation(width)
+            assert np.array_equal(perms[r], want)
+
+    def test_concurrent_detects_reproduce_serial_reports(self):
+        g = np.random.default_rng(3)
+        series = TimeSeries(np.r_[g.normal(0, 1, 1500), g.normal(2, 1, 1500)])
+        configs = [DetectionConfig(h=60, epsilon=0.05, sigma=1.0, seed=s,
+                                   lambda_policy=ManualLambda(0.8))
+                   for s in (1, 2**64 - 1)]
+        serial = [pickle.dumps(detect(series, c)) for c in configs]
+        barrier = threading.Barrier(2)
+
+        def run(config):
+            barrier.wait(timeout=60)
+            return pickle.dumps(detect(series, config))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, c) for c in configs]
+                concurrent = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+        assert serial[0] != serial[1]
+
+
 class TestMadSigma:
     def test_gaussian_consistency(self):
         g = substream(123, 0).generator()
@@ -246,6 +300,12 @@ class TestDetectionConfig:
             DetectionConfig(
                 h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0), delta=1.5
             )
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            DetectionConfig(h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0),
+                            sigma=sigma)
 
 
 def _error_classes(cls=ArcCpdError):

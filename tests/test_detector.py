@@ -49,6 +49,16 @@ class TestResolveLambda:
         with pytest.raises(ValueError):
             ManualLambda(0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_manual_rejects_nan(self, value):
+        with pytest.raises(ValueError):
+            ManualLambda(value)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0])
+    def test_theoretical_rejects_nonfinite_or_nonpositive(self, c):
+        with pytest.raises(ValueError):
+            TheoreticalLambda(c)
+
     def test_theoretical(self):
         want = 3.0 * 2.0 * math.sqrt(0.16)
         assert resolve_lambda(TheoreticalLambda(3.0), **self.kwargs) == \

@@ -114,8 +114,20 @@ class TestTournamentConfig:
         with pytest.raises(ValueError):
             TournamentConfig(**kwargs)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        # a NaN sigma made every comparison false: all scores 0, grid[0]
+        with pytest.raises(ValueError, match="finite"):
+            TournamentConfig(sigma=sigma)
+
 
 class TestPairwiseTest:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_test(2.0, 9.0, np.full(50, 2.0), sigma)
+
     def test_training_at_theta_j(self):
         training = np.full(50, 2.0)
         assert pairwise_test(2.0, 9.0, training, 1.0) == 0
