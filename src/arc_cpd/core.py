@@ -378,13 +378,17 @@ def _permutations(seed: int, ids, width: int) -> np.ndarray:
     return out
 
 
-def _may_overflow(lowest, highest, width: int):
-    """Whether a sum of `width` terms within [lowest, highest] can overflow.
+def _unit(lowest, highest, width: int):
+    """1.0, or the power of two 0.5 ** (width - 1).bit_length() where a sum
+    of `width` terms within [lowest, highest] could overflow; elementwise.
 
-    Elementwise on arrays.
+    In units no such sum and no difference of two terms overflows. Scaling
+    by a power of two is exact for normal floats; subnormal values scaled
+    by a unit below 1 lose low bits.
     """
     bound = _FLOAT_MAX / width
-    return (lowest < -bound) | (highest > bound)
+    return np.where((lowest < -bound) | (highest > bound),
+                    0.5 ** (width - 1).bit_length(), 1.0)
 
 
 def mad_sigma(series: Union[TimeSeries, Sequence[float]]) -> float:
@@ -398,9 +402,8 @@ def mad_sigma(series: Union[TimeSeries, Sequence[float]]) -> float:
         np.asarray(series, dtype=np.float64)
     if values.size < 2:
         raise ValueError("scale estimation needs at least 2 values")
-    # within +-max/4 no deviation and no sum of a middle pair overflows;
-    # scaling by a power of two is exact for normal floats
-    unit = 0.25 if _may_overflow(values.min(), values.max(), 4) else 1.0
+    # in units no deviation and no sum of a middle pair overflows
+    unit = float(_unit(values.min(), values.max(), 4))
     scaled = unit * values
     mad = float(np.median(np.abs(scaled - np.median(scaled)))) / unit
     if mad == 0.0:

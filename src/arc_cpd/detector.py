@@ -67,17 +67,13 @@ DEFAULT_C_LAMBDA = 1.2
 
 @dataclass(frozen=True)
 class ManualLambda:
-    """Fixed threshold supplied by the caller.
-
-    An infinite value is accepted here and reported by detect as a
-    LambdaResolutionFailure, as the policies' overflowing products are.
-    """
+    """Fixed threshold supplied by the caller: positive and finite."""
 
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError("lambda must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -163,13 +159,9 @@ def _resolve_delta(config: DetectionConfig, n: int) -> float:
     return config.delta if config.delta is not None else 1.0 / n
 
 
-def _scan_arrays(series: TimeSeries, config: DetectionConfig,
-                 mirror_ids: bool = False) -> Tuple[np.ndarray, int]:
-    """Robust scan curve over j = 2h..n-2h and its degenerate window count.
-
-    mirror_ids swaps the left/right stream id roles and reverses the id
-    axis; it exists for the reversed-series reflection property.
-    """
+def _scan_arrays(series: TimeSeries,
+                 config: DetectionConfig) -> Tuple[np.ndarray, int]:
+    """Robust scan curve over j = 2h..n-2h and its degenerate window count."""
     x = series.values
     n = x.size
     h = config.h
@@ -183,14 +175,9 @@ def _scan_arrays(series: TimeSeries, config: DetectionConfig,
 
     js = np.arange(2 * h, n - 2 * h + 1, dtype=np.int64)
     view = sliding_window_view(x, 2 * h)
-    left_ids = 2 * js
-    right_ids = 2 * js + 1
-    if mirror_ids:
-        left_ids, right_ids = (2 * (n - js) + 1), (2 * (n - js))
-
-    left_est, _, _, left_kept = _rume_batch(view[js - 2 * h], left_ids,
+    left_est, _, _, left_kept = _rume_batch(view[js - 2 * h], 2 * js,
                                             config.seed, span)
-    right_est, _, _, right_kept = _rume_batch(view[js], right_ids,
+    right_est, _, _, right_kept = _rume_batch(view[js], 2 * js + 1,
                                               config.seed, span)
     curve = np.abs(right_est - left_est)
     return curve, int((left_kept == 0).sum() + (right_kept == 0).sum())

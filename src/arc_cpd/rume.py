@@ -27,10 +27,11 @@ contamination. Given a window of 2h values and a failure level delta in
    the outcome as degenerate.
 
 One row-wise kernel, `_rume_batch`, computes the estimator for the scan,
-the tournament and `rume` alike. Windows whose extremes could overflow a
-sum of 2h terms take the shorth widths as 0.5*high - 0.5*low, the mean as
-a sum of pre-divided terms clipped into the kept interval and the median
-as 0.5*a + 0.5*b. One helper, `_feasibility`, evaluates steps (2) and (3)
+the tournament and `rume` alike. A window whose extremes could overflow a
+sum of 2h terms runs in one power-of-two unit (`core._unit`) and is scaled
+back, which is exact for normal floats; there, subnormal values lose low
+bits. A kept mean that rounds outside its kept interval is clipped into it.
+One helper, `_feasibility`, evaluates steps (2) and (3)
 elementwise over epsilon: the tournament calls it on the whole grid, and
 `effective_epsilon`, `feasibility_value`, `is_feasible` and
 `trimming_span` are one-level calls.
@@ -48,7 +49,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InfeasibleWindow, RngStream, _may_overflow, _permutations
+from .core import InfeasibleWindow, RngStream, _permutations, _unit
 
 __all__ = [
     "RumeParams",
@@ -82,8 +83,9 @@ class RumeOutcome:
     """Result of one estimation: the trimmed mean and how it was obtained.
 
     interval is the selected [low, high]; kept_count is the number of
-    held-out points inside it. When degenerate is True the estimate is the
-    full-window median because the interval captured no held-out point.
+    held-out points inside it, and their mean, the estimate, lies in the
+    interval. When degenerate is True the estimate is the full-window
+    median because the interval captured no held-out point.
     """
 
     estimate: float
@@ -149,18 +151,20 @@ def _max_log_ratio(epsilon: float) -> float:
     return (math.sqrt(0.5 - epsilon) - math.sqrt(epsilon)) ** 2
 
 
-def auto_delta(n: int, h: int, epsilon: float, slack: float = 0.5) -> float:
+# share of the feasibility budget auto_delta spends when 1/n is infeasible
+_SLACK = 0.5
+
+
+def auto_delta(n: int, h: int, epsilon: float) -> float:
     """Pick a failure level: 1/n when feasible, else the smallest workable scale.
 
     The default delta = 1/n is the right choice when the window can afford
     it. Aggressive contamination rates or small windows can make 1/n
-    infeasible; in that case delta is inflated to exp(-slack * h * x_max)
-    where x_max is the largest feasible log(1/delta)/h, i.e. the feasibility
-    budget is spent at the given slack fraction. Raises InfeasibleWindow when
-    no delta in (0, 1) can satisfy the condition.
+    infeasible; in that case delta is inflated to exp(-0.5 * h * x_max)
+    where x_max is the largest feasible log(1/delta)/h, i.e. half the
+    feasibility budget is spent. Raises InfeasibleWindow when no delta in
+    (0, 1) can satisfy the condition.
     """
-    if not (0.0 < slack < 1.0):
-        raise ValueError("slack must lie in (0, 1)")
     if n < 2 or h < 2:
         raise ValueError("need n >= 2 and h >= 2")
     if is_feasible(h, epsilon, 1.0 / n):
@@ -170,7 +174,7 @@ def auto_delta(n: int, h: int, epsilon: float, slack: float = 0.5) -> float:
         raise InfeasibleWindow(h, epsilon, 1.0 / n,
                                effective_epsilon(epsilon, 1.0 / n, h),
                                feasibility_value(h, epsilon, 1.0 / n), 0)
-    return math.exp(-slack * h * x_max)
+    return math.exp(-_SLACK * h * x_max)
 
 
 # batch size for the vectorized window pipeline; bounds peak memory at
@@ -178,17 +182,14 @@ def auto_delta(n: int, h: int, epsilon: float, slack: float = 0.5) -> float:
 _CHUNK = 1024
 
 
-def _shortest(z: np.ndarray, spans: np.ndarray,
-              half: np.ndarray) -> np.ndarray:
+def _shortest(z: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Left end (0-based, first on ties) of the shortest interval spanning
-    spans[i] steps of each ascending row z[i]. Rows with half 0.5 compare
-    widths of halved values, which cannot overflow and, halving being exact
-    for normal floats, rank as the plain widths do."""
-    zw = z * half[:, None]
+    spans[i] steps of each ascending row z[i]. Rows come in their unit
+    (`core._unit`), so no width overflows."""
     j0 = np.empty(len(z), dtype=np.int64)
     for d in np.unique(spans):  # rows sharing a span share one width pass
         rows = spans == d
-        part = zw if rows.all() else zw[rows]
+        part = z if rows.all() else z[rows]
         j0[rows] = (part[:, d:] - part[:, :-d]).argmin(axis=1)
     return j0
 
@@ -199,10 +200,13 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
 
     Row i is split by the permutation of substream(seed, stream_ids[i]),
     each chunk's taken in one `_permutations` call, and trimmed with span
-    spans[i]; one int serves every row. The outcome depends only on each
-    row's value multiset and stream. Returns (estimates, lows, highs, kept):
-    a row with kept == 0 is degenerate and its estimate is the median of
-    the window.
+    spans[i]; one int serves every row. Each sorted row runs the plain
+    formulas in its unit (`core._unit` over 2h terms), its mean clipped
+    into the kept interval, and is scaled back: rows of unit 1 keep their
+    bits, in the others subnormal values lose low bits. The outcome
+    depends only on each row's value multiset and stream. Returns
+    (estimates, lows, highs, kept): a row with kept == 0 is degenerate and
+    its estimate is the median of the window.
     """
     m, width = windows.shape
     h = width // 2
@@ -213,38 +217,30 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
         ws = np.sort(windows[start:stop], axis=1)
-        c = stop - start
+        unit = _unit(ws[:, 0], ws[:, -1], width)
+        ws *= unit[:, None]
         perms = _permutations(seed, stream_ids[start:stop], width)
         # sorted positions keep both halves ascending
         z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
         z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)
 
-        # rows that could overflow halve before subtracting or adding and
-        # sum pre-divided terms; elsewhere (half = 1) the plain formulas
-        # keep their bits
-        big = _may_overflow(ws[:, 0], ws[:, -1], width)
-        half = np.where(big, 0.5, 1.0)
         span = spans[start:stop]
-        j0 = _shortest(z, span, half)
-        rows = np.arange(c)
+        j0 = _shortest(z, span)
+        rows = np.arange(stop - start)
         low, high = z[rows, j0], z[rows, j0 + span]
 
         inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
         count = inside.sum(axis=1)
-        divisor = np.maximum(count, 1)
-        if big.any():
-            z_held[big] /= divisor[big, None]
-        with np.errstate(over="ignore"):
-            means = (np.where(inside, z_held, 0.0).sum(axis=1) /
-                     np.where(big, 1, divisor))
-        # rounding can carry a sum of pre-divided terms past the kept
-        # interval, and near float max to inf; the mean lies inside it
-        means = np.where(big, np.clip(means, low, high), means)
+        means = (np.where(inside, z_held, 0.0).sum(axis=1) /
+                 np.maximum(count, 1))
+        # rounding can carry the mean of values at one end of the kept
+        # interval past it, as with 48 copies of 0.1
+        means = np.clip(means, low, high)
         # middle pair of the sorted window
-        mids = (half * ws[:, h - 1] + half * ws[:, h]) * (0.5 / half)
-        estimates[start:stop] = np.where(count == 0, mids, means)
+        mids = 0.5 * (ws[:, h - 1] + ws[:, h])
+        estimates[start:stop] = np.where(count == 0, mids, means) / unit
         lows[start:stop], highs[start:stop], kept[start:stop] = \
-            low, high, count
+            low / unit, high / unit, count
     return estimates, lows, highs, kept
 
 
@@ -253,15 +249,15 @@ def shorth_interval(sorted_half: Sequence[float], d: int):
 
     Returns ((low, high), j_star) where j_star is the 1-based index of the
     left endpoint among the order statistics; the smallest j wins exact ties.
-    Widths are taken as 0.5*high - 0.5*low when the sample's extremes could
-    overflow a plain difference.
+    Widths are compared in the sample's unit (`core._unit` over 2 terms), so
+    none overflows.
     """
     z = np.asarray(sorted_half, dtype=np.float64)
     h = z.size
     if not (1 <= d <= h - 1):
         raise ValueError("need 1 <= d <= h - 1")
-    half = 0.5 if _may_overflow(z[0], z[-1], 2) else 1.0
-    j0 = int(_shortest(z[None, :], np.asarray([d]), np.asarray([half]))[0])
+    scaled = z * _unit(z[0], z[-1], 2)
+    j0 = int(_shortest(scaled[None, :], np.asarray([d]))[0])
     return (float(z[j0]), float(z[j0 + d])), j0 + 1
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from arc_cpd import detector
+from arc_cpd.rume import _rume_batch
 from arc_cpd import (
     DetectionConfig,
     InfeasibleWindow,
@@ -30,6 +32,7 @@ from arc_cpd import (
     resolve_lambda,
     scan_statistic,
     substream,
+    trimming_span,
 )
 
 
@@ -53,6 +56,10 @@ class TestResolveLambda:
     def test_manual_rejects_nan(self, value):
         with pytest.raises(ValueError):
             ManualLambda(value)
+
+    def test_manual_rejects_infinity(self):
+        with pytest.raises(ValueError, match="finite"):
+            ManualLambda(math.inf)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0])
     def test_theoretical_rejects_nonfinite_or_nonpositive(self, c):
@@ -296,8 +303,7 @@ class TestDetect:
         assert big.estimated.k == 1
 
     @pytest.mark.parametrize("policy", [RealDataLambda(),
-                                        TheoreticalLambda(2.0),
-                                        ManualLambda(math.inf)])
+                                        TheoreticalLambda(2.0)])
     def test_infinite_lambda_is_reported(self, policy):
         # the 1.2 * sigma and c * sigma products overflow at this scale
         g = np.random.default_rng(1)
@@ -365,6 +371,44 @@ class TestDetect:
             locs[lam] = set(detect(ls.series, cfg).estimated.locations)
         assert locs[1.2] <= locs[0.6] <= locs[0.3]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, data):
+        # a power of two from 2^-900 to 2^1020 on the series, lambda and
+        # sigma scales the curve exactly, windows past float max / 2h too
+        h = data.draw(st.integers(2, 12))
+        n = data.draw(st.sampled_from([4 * h, 4 * h + 1, 4 * h + 7]))
+        x = np.asarray(data.draw(st.lists(st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(2.0 ** -20, 4.0), st.floats(-4.0, -2.0 ** -20),
+            st.just(0.0)), min_size=n, max_size=n)))
+        start = data.draw(st.integers(0, n))
+        x[start:data.draw(st.integers(start, n))] = 0.1  # a constant run
+        k = data.draw(st.one_of(st.sampled_from([1000, 1018, 1020]),
+                                st.integers(-900, 1020)))
+        lam = data.draw(st.floats(0.05, 2.0))
+        more = data.draw(st.floats(1.0, 2.0))
+        kw = dict(h=h, epsilon=0.0,
+                  delta=math.exp(-h * data.draw(st.floats(0.01, 0.08))),
+                  seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        scale = math.ldexp(1.0, k)
+
+        def run(values, unit, lam):
+            series = TimeSeries(values)
+            cfg = DetectionConfig(lambda_policy=ManualLambda(unit * lam),
+                                  sigma=unit, **kw)
+            curve = scan_statistic(series, cfg)
+            return np.fromiter(curve.values(), np.float64), detect(series, cfg)
+
+        base_curve, base = run(x, 1.0, lam)
+        curve, scaled = run(scale * x, scale, lam)
+        assert (scale * base_curve).tobytes() == curve.tobytes()
+        assert scaled.estimated == base.estimated
+        assert scaled.degenerate_windows == base.degenerate_windows
+        _, higher = run(scale * x, scale, lam * more)
+        assert set(higher.estimated.locations) <= \
+            set(scaled.estimated.locations)
+
     def test_reversed_series_reflects_detections(self):
         g = substream(56, 0).generator()
         x = np.concatenate([g.normal(0, 1, 150), g.normal(4, 1, 130),
@@ -374,12 +418,25 @@ class TestDetect:
                               lambda_policy=ManualLambda(1.5),
                               delta=0.5, sigma=1.0, seed=77)
         fwd = detect(TimeSeries(x), cfg)
-        # detect's own steps on the reversed series with mirrored stream ids
+        # detect's own steps on the reversed series with mirrored stream
+        # ids: the reversed left window at j is the forward right window at
+        # n - j, and takes its stream
         rev_series = TimeSeries(x[::-1])
-        rev = detector._scan_report(
-            rev_series, cfg, lambda sigma: 1.5,
-            lambda: detector._scan_arrays(rev_series, cfg, mirror_ids=True),
-            0.0)
+        h = cfg.h
+        span = trimming_span(h, cfg.epsilon, cfg.delta)
+        js = np.arange(2 * h, n - 2 * h + 1)
+        view = sliding_window_view(rev_series.values, 2 * h)
+
+        def mirrored_scan():
+            left, _, _, left_kept = _rume_batch(
+                view[js - 2 * h], 2 * (n - js) + 1, cfg.seed, span)
+            right, _, _, right_kept = _rume_batch(
+                view[js], 2 * (n - js), cfg.seed, span)
+            return (np.abs(right - left),
+                    int((left_kept == 0).sum() + (right_kept == 0).sum()))
+
+        rev = detector._scan_report(rev_series, cfg, lambda sigma: 1.5,
+                                    mirrored_scan, 0.0)
         assert all(rev.scan_curve[j] == fwd.scan_curve[n - j]
                    for j in rev.scan_curve)
         assert fwd.estimated.k == rev.estimated.k

@@ -231,6 +231,12 @@ class TestRume:
         assert not out.degenerate
         assert out.interval == (5.0, 5.0)
 
+    def test_constant_window_of_non_dyadic_value_stays_in_interval(self):
+        # the sum of 24 copies of 0.1 over 24 rounds to 0.10000000000000002
+        out = rume([0.1] * 48, RumeParams(0.0, 0.1), substream(0, 1))
+        assert out.interval == (0.1, 0.1)
+        assert out.estimate == 0.1
+
     def test_small_window_with_aggressive_delta_raises(self):
         # the same delta on a 20-point window leaves no valid span
         with pytest.raises(InfeasibleWindow):
@@ -356,28 +362,26 @@ def oracle_rume(window, span, rng):
     z = ws[np.sort(perm[:h])]        # sorted positions keep z ascending
     z_held = ws[np.sort(perm[h:])]
 
-    # a window whose extremes could overflow a 2h-term sum halves before
-    # subtracting or adding and sums pre-divided terms
+    # a window whose extremes could overflow a 2h-term sum runs in the
+    # power of two 2^-m, 2^m >= 2h: the plain formulas on the scaled
+    # window, then scaled back
     bound = _FLOAT_MAX / (2 * h)
     big = ws[0] < -bound or ws[-1] > bound
-    zw = 0.5 * z if big else z
-    j0 = int(np.argmin(zw[span:] - zw[:h - span]))
+    unit = 0.5 ** math.ceil(math.log2(2 * h)) if big else 1.0
+    z, z_held, ws = unit * z, unit * z_held, unit * ws
+    j0 = int(np.argmin(z[span:] - z[:h - span]))
     low, high = z[j0], z[j0 + span]
     inside = (z_held >= low) & (z_held <= high)
     kept = int(inside.sum())
     if kept == 0:
         # middle pair of the sorted window
-        if big:
-            estimate = 0.5 * ws[h - 1] + 0.5 * ws[h]
-        else:
-            estimate = 0.5 * (ws[h - 1] + ws[h])
-    elif big:
-        with np.errstate(over="ignore"):
-            estimate = np.where(inside, z_held / kept, 0.0).sum()
-        estimate = min(max(estimate, low), high)
+        estimate = 0.5 * (ws[h - 1] + ws[h])
     else:
+        # a mean that rounds past its kept interval is clipped into it
         estimate = np.where(inside, z_held, 0.0).sum() / kept
-    return np.float64(estimate), np.float64(low), np.float64(high), kept
+        estimate = min(max(estimate, low), high)
+    return (np.float64(estimate / unit), np.float64(low / unit),
+            np.float64(high / unit), kept)
 
 
 def assert_row_is_oracle(out, i, window, span, rng):
@@ -427,6 +431,9 @@ class TestBatchMatchesScalar:
                 assert_row_is_oracle(out, i, windows[i], int(spans[i]),
                                      substream(seed, int(ids[i])))
         assert np.isfinite(out[0]).all()
+        kept = out[3] > 0
+        assert (out[1][kept] <= out[0][kept]).all()
+        assert (out[0][kept] <= out[2][kept]).all()
 
     def test_degenerate_rows_near_float_max(self):
         # the median fallback's a + b overflows here, 0.5*a + 0.5*b does not
