@@ -234,8 +234,9 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
         means = (np.where(inside, z_held, 0.0).sum(axis=1) /
                  np.maximum(count, 1))
         # rounding can carry the mean of values at one end of the kept
-        # interval past it, as with 48 copies of 0.1
-        means = np.clip(means, low, high)
+        # interval past it, as with 48 copies of 0.1; a mean inside keeps
+        # its bits, the sign of a zero too
+        means = np.where(means < low, low, np.where(means > high, high, means))
         # middle pair of the sorted window
         mids = 0.5 * (ws[:, h - 1] + ws[:, h])
         estimates[start:stop] = np.where(count == 0, mids, means) / unit
