@@ -4,9 +4,10 @@ Subcommands: detect (run the detector on a data file), simulate (write a
 generated series plus its ground truth), bench (grid experiments and the
 phase sweep), tune (tournament level selection only).
 
-Data files are single-column numeric text, one value per line with an
-optional one-line header, or two-column "timestamp,value" CSV whose first
-column is ignored; blank lines and lines starting with # are skipped.
+Data files are single-column numeric text, one value per line, or
+two-column "timestamp,value" CSV whose first column is ignored; blank lines
+and lines starting with # are skipped, and the first line that is neither
+may be a one-line header.
 Reports are JSON with a versioned schema; non-finite numbers are serialized
 as the strings "inf" / "-inf" / "nan".
 
@@ -81,11 +82,13 @@ class _Parser(argparse.ArgumentParser):
 def read_series(path: str) -> TimeSeries:
     """Parse a data file; see the module docstring for accepted layouts."""
     values: List[float] = []
+    content_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            content_lines += 1
             fields = line.split(",")
             if len(fields) > 2:
                 raise ValueError(
@@ -95,8 +98,8 @@ def read_series(path: str) -> TimeSeries:
             try:
                 values.append(float(token))
             except ValueError:
-                if lineno == 1 and not values:
-                    continue  # one-line header
+                if content_lines == 1:
+                    continue  # the header: first line not blank or comment
                 raise ValueError(
                     f"{path}:{lineno}: not a number: {token!r}") from None
     return TimeSeries(np.asarray(values, dtype=np.float64),
@@ -155,6 +158,8 @@ def _load_truth(path: str, n: int) -> ChangePointSet:
 
 
 def cmd_detect(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
     series = read_series(args.input)
     n = series.n
     h = args.h

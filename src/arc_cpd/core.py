@@ -362,19 +362,22 @@ def _permutations(seed: int, ids, width: int) -> np.ndarray:
     The seeding runs in one batch (`_spawn_states`, then PCG64's
     `state = (inc + s) * MULT + inc` with `inc = 2 t + 1` for the state
     words s, t), and each row sets that state on one generator made per
-    call, so the shuffle is numpy's own.
+    call. numpy's `permutation` of an int shuffles a fresh `arange`, so
+    each row is filled with `arange(width)` and shuffled in place: the
+    same bits, without a fresh array and a copy per row.
     """
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     state = {"bit_generator": "PCG64", "state": None,
              "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(ids), width), dtype=np.int64)
+    out[:] = np.arange(width)
     for r, (s0, s1, t0, t1) in enumerate(_spawn_states(seed, ids).tolist()):
         inc = ((((t0 << 64) | t1) << 1) | 1) & _M128
         start = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
         state["state"] = {"state": start, "inc": inc}
         bit_gen.state = state
-        out[r] = gen.permutation(width)
+        gen.shuffle(out[r])
     return out
 
 

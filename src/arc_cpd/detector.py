@@ -39,7 +39,8 @@ from .core import (
     mad_sigma,
     substream,
 )
-from .rume import _rume_batch, effective_epsilon, trimming_span
+from .rume import (_rume_batch, _sorted_chunks, effective_epsilon,
+                   trimming_span)
 
 __all__ = [
     "ManualLambda",
@@ -161,7 +162,14 @@ def _resolve_delta(config: DetectionConfig, n: int) -> float:
 
 def _scan_arrays(series: TimeSeries,
                  config: DetectionConfig) -> Tuple[np.ndarray, int]:
-    """Robust scan curve over j = 2h..n-2h and its degenerate window count."""
+    """Robust scan curve over j = 2h..n-2h and its degenerate window count.
+
+    Window s, x[s:s+2h], serves twice: as the left window of j = s + 2h
+    (stream 2(s + 2h), s <= n - 4h) and as the right window of j = s
+    (stream 2s + 1, s >= 2h). The n - 2h + 1 distinct windows are sorted
+    once, a kernel chunk at a time (`rume._sorted_chunks`), and both roles
+    run on slices of each sorted chunk, so no window is copied whole.
+    """
     x = series.values
     n = x.size
     h = config.h
@@ -173,14 +181,22 @@ def _scan_arrays(series: TimeSeries,
                                err.condition_value, err.span,
                                scan_index=2 * h) from None
 
-    js = np.arange(2 * h, n - 2 * h + 1, dtype=np.int64)
-    view = sliding_window_view(x, 2 * h)
-    left_est, _, _, left_kept = _rume_batch(view[js - 2 * h], 2 * js,
-                                            config.seed, span)
-    right_est, _, _, right_kept = _rume_batch(view[js], 2 * js + 1,
-                                              config.seed, span)
-    curve = np.abs(right_est - left_est)
-    return curve, int((left_kept == 0).sum() + (right_kept == 0).sum())
+    m = n - 4 * h + 1  # scan indices j = 2h..n-2h
+    left_est, right_est = np.empty((2, m))
+    degenerate = 0
+    for a, ws in _sorted_chunks(sliding_window_view(x, 2 * h)):
+        b = a + len(ws)
+        left = np.arange(a, min(b, m))
+        est, _, _, kept = _rume_batch(ws[:left.size], 2 * (left + 2 * h),
+                                      config.seed, span)
+        left_est[left] = est
+        degenerate += int((kept == 0).sum())
+        right = np.arange(max(a, 2 * h), b)
+        est, _, _, kept = _rume_batch(ws[len(ws) - right.size:],
+                                      2 * right + 1, config.seed, span)
+        right_est[right - 2 * h] = est
+        degenerate += int((kept == 0).sum())
+    return np.abs(right_est - left_est), degenerate
 
 
 def _check_length(series: TimeSeries, h: int) -> None:

@@ -6,8 +6,9 @@ contamination. Given a window of 2h values and a failure level delta in
 
 1. Sort the window and randomly split it into halves Z and Z' of size h
    (a seeded index shuffle; the first h shuffled positions form Z). The
-   shuffle is numpy's `permutation` of 2h positions from the window's
-   stream; a batch of windows seeds all its streams at once
+   shuffle is numpy's `shuffle` of the positions 0..2h-1 from the
+   window's stream, which gives the bits of the stream's first
+   permutation of 2h; a batch of windows seeds all its streams at once
    (`core._permutations`).
 2. Inflate the contamination rate: eps_eff = max(eps, log(1/delta) / h).
 3. Compute the trimming span
@@ -194,13 +195,26 @@ def _shortest(z: np.ndarray, spans: np.ndarray) -> np.ndarray:
     return j0
 
 
+def _sorted_chunks(windows: np.ndarray):
+    """(start, block) for each block of `_CHUNK` rows of `windows`, the
+    block sorted along its rows; the scan's walk over its distinct windows,
+    chunked as `_rume_batch` chunks."""
+    for start in range(0, len(windows), _CHUNK):
+        yield start, np.sort(windows[start:start + _CHUNK], axis=1)
+
+
 def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
                 spans: Union[int, np.ndarray]):
-    """The estimator over many windows of equal width 2h, one per row.
+    """The estimator over many ascending windows of equal width 2h, one per
+    row.
 
-    Row i is split by the permutation of substream(seed, stream_ids[i]),
-    each chunk's taken in one `_permutations` call, and trimmed with span
-    spans[i]; one int serves every row. Each sorted row runs the plain
+    Each row must come sorted ascending, so a caller sorts each distinct
+    window once and may pass it for several rows (a broadcast array is
+    fine). Row i is split by the permutation of substream(seed,
+    stream_ids[i]), each chunk's taken in one `_permutations` call: one
+    membership mask of the first h shuffled positions picks both halves
+    in position order, which is ascending value order. Row i is trimmed
+    with span spans[i]; one int serves every row. Each row runs the plain
     formulas in its unit (`core._unit` over 2h terms), its mean clipped
     into the kept interval, and is scaled back: rows of unit 1 keep their
     bits, in the others subnormal values lose low bits. The outcome
@@ -216,17 +230,21 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
 
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
-        ws = np.sort(windows[start:stop], axis=1)
+        ws = windows[start:stop]
         unit = _unit(ws[:, 0], ws[:, -1], width)
-        ws *= unit[:, None]
         perms = _permutations(seed, stream_ids[start:stop], width)
-        # sorted positions keep both halves ascending
-        z = np.take_along_axis(ws, np.sort(perms[:, :h], axis=1), axis=1)
-        z_held = np.take_along_axis(ws, np.sort(perms[:, h:], axis=1), axis=1)
+        rows = np.arange(stop - start)
+        # flat positions of each row's first h shuffled positions
+        first = np.zeros(ws.size, dtype=bool)
+        first[(perms[:, :h] + width * rows[:, None]).ravel()] = True
+        flat = ws.ravel()
+        z = flat.take(np.flatnonzero(first)).reshape(-1, h)
+        z_held = flat.take(np.flatnonzero(~first)).reshape(-1, h)
+        z *= unit[:, None]
+        z_held *= unit[:, None]
 
         span = spans[start:stop]
         j0 = _shortest(z, span)
-        rows = np.arange(stop - start)
         low, high = z[rows, j0], z[rows, j0 + span]
 
         inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
@@ -238,7 +256,7 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
         # its bits, the sign of a zero too
         means = np.where(means < low, low, np.where(means > high, high, means))
         # middle pair of the sorted window
-        mids = 0.5 * (ws[:, h - 1] + ws[:, h])
+        mids = 0.5 * (ws[:, h - 1] * unit + ws[:, h] * unit)
         estimates[start:stop] = np.where(count == 0, mids, means) / unit
         lows[start:stop], highs[start:stop], kept[start:stop] = \
             low / unit, high / unit, count
@@ -279,7 +297,7 @@ def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOut
         raise ValueError("window values must be finite")
 
     d = trimming_span(w.size // 2, params.epsilon, params.delta)
-    est, low, high, kept = _rume_batch(w[None, :], [rng.stream_id],
+    est, low, high, kept = _rume_batch(np.sort(w)[None, :], [rng.stream_id],
                                        rng.master_seed, d)
     return RumeOutcome(float(est[0]), (float(low[0]), float(high[0])),
                        int(kept[0]), bool(kept[0] == 0))

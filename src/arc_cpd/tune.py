@@ -167,14 +167,16 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     Each stage is one call over all levels. The feasibility condition is
     evaluated over the whole grid once at h_train and once at
     detection_h, with the bits of is_feasible and trimming_span per level.
-    Every feasible candidate j is then one row of a single estimator call
-    over the training window: span trimming_span(h_train, grid[j], delta)
-    and stream substream(base, j) with base = rng.child_seed(), so
-    estimates[j] equals rume(window, RumeParams(grid[j], delta),
-    substream(base, j)) bit for bit and feasibility filtering never shifts
-    the randomness of other candidates. All pairs then play in one call of
-    the pairwise kernel, so scores[j] counts the feasible k with
-    pairwise_test(estimates[j], estimates[k], window, sigma) == 1.
+    The training window is sorted once. Every feasible candidate j is then
+    one row of a single estimator call over that sorted window: span
+    trimming_span(h_train, grid[j], delta) and stream substream(base, j)
+    with base = rng.child_seed(), so estimates[j] equals rume(window,
+    RumeParams(grid[j], delta), substream(base, j)) bit for bit and
+    feasibility filtering never shifts the randomness of other candidates.
+    All pairs then play in one call of the pairwise kernel over the same
+    sorted window, in ascending order of estimate, so scores[j] counts the
+    feasible k with pairwise_test(estimates[j], estimates[k], window,
+    sigma) == 1.
     """
     if detection_h < 2:
         raise ValueError("detection_h must be >= 2")
@@ -201,11 +203,17 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     wide = alive[spans > h_train - 1]
     if wide.size:
         trimming_span(h_train, tc.grid[wide[0]], delta)
-    theta = _rume_batch(np.broadcast_to(window, (k, window.size)), alive,
+    ascending = np.sort(window)
+    theta = _rume_batch(np.broadcast_to(ascending, (k, window.size)), alive,
                         rng.child_seed(), spans.astype(np.int64))[0]
 
-    alive_scores = _beats(theta[:, None], theta[None, :], np.sort(window),
-                          tc.sigma).sum(axis=1)
+    # pairs play in ascending order of estimate, so the search keys of
+    # each row ascend too
+    order = np.argsort(theta, kind="stable")
+    ranked = theta[order]
+    alive_scores = np.empty(k, dtype=np.int64)
+    alive_scores[order] = _beats(ranked[:, None], ranked[None, :], ascending,
+                                 tc.sigma).sum(axis=1)
 
     # None marks the infeasible levels
     estimates, scores = np.full((2, grid.size), None)

@@ -43,6 +43,21 @@ class TestReadSeries:
         p.write_text("value\n1.0\n2.0\n")
         assert list(read_series(str(p)).values) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("text", [
+        "# exported\ntimestamp,value\n1,0.5\n2,0.7\n",
+        "\n\ntimestamp,value\n1,0.5\n# mid comment\n2,0.7\n",
+    ], ids=["comment_first", "blank_lines_first"])
+    def test_header_after_comments_and_blank_lines(self, tmp_path, text):
+        p = tmp_path / "hdr.csv"
+        p.write_text(text)
+        assert list(read_series(str(p)).values) == [0.5, 0.7]
+
+    def test_second_header_line_rejected(self, tmp_path):
+        p = tmp_path / "hdr2.csv"
+        p.write_text("# exported\ntimestamp,value\nunit,volts\n1,0.5\n")
+        with pytest.raises(ValueError, match="hdr2.csv:3: not a number"):
+            read_series(str(p))
+
     def test_two_column_timestamp_ignored(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("2020-01-01,4.5\n2020-01-02,5.5\n")
@@ -93,6 +108,17 @@ class TestDetect:
     def test_invalid_h_exits_2(self, gaussian_file):
         assert run(["detect", "--input", gaussian_file, "--h", "0",
                     "--epsilon", "0.1"]) == 2
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_exits_2(self, gaussian_file, tmp_path, capsys,
+                                    runs):
+        out = tmp_path / "rep.json"
+        code = run(["detect", "--input", gaussian_file, "--h", "50",
+                    "--epsilon", "0.1", "--sigma", "1", "--runs", runs,
+                    "--out", str(out)])
+        assert code == 2
+        assert "--runs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["detect", "--input", str(tmp_path / "nope.csv"),

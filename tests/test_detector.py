@@ -1,7 +1,9 @@
 """Scan statistic, maximizer extraction, thresholding, and aggregation."""
 
+import importlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from arc_cpd import (
     NonFiniteScan,
     RealDataHeavyTailLambda,
     RealDataLambda,
+    RumeParams,
     SeriesTooShort,
     SimulationDefaultLambda,
     TheoreticalLambda,
@@ -30,10 +33,13 @@ from arc_cpd import (
     local_maximizers,
     recommend_h,
     resolve_lambda,
+    rume,
     scan_statistic,
     substream,
     trimming_span,
 )
+
+RUME_MODULE = importlib.import_module("arc_cpd.rume")
 
 
 def hiding_setting(seed, n=5000, epsilon=0.1, kappa=1.0):
@@ -146,6 +152,40 @@ class TestScanStatistic:
             warnings.simplefilter("error")
             curve = scan_statistic(TimeSeries(np.asarray(x)), cfg)
         assert np.isfinite(list(curve.values())).all()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_scalar_rume_per_window(self, data):
+        # the scan sorts each distinct window once and runs it in both of
+        # its roles; every value must still be |right - left| of two
+        # scalar calls, across chunk boundaries and at both ends
+        h = data.draw(st.integers(2, 12))
+        chunk = data.draw(st.sampled_from([1, 2, 3, 1024]))
+        n = data.draw(st.sampled_from(
+            [4 * h, 4 * h + 1, 4 * h + 7, 4 * h + 2 * chunk + 1]))
+        x = np.asarray(data.draw(st.lists(
+            st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e3, 1e3)),
+            min_size=n, max_size=n)))
+        epsilon = data.draw(st.sampled_from([0.0, 0.05]))
+        seed = data.draw(st.integers(0, 2 ** 64 - 1))
+        cfg = DetectionConfig(h=h, epsilon=epsilon,
+                              lambda_policy=ManualLambda(1.0), delta=0.9,
+                              sigma=1.0, seed=seed)
+        params = RumeParams(epsilon, cfg.delta)
+        with mock.patch.object(RUME_MODULE, "_CHUNK", chunk):
+            curve = scan_statistic(TimeSeries(x), cfg)
+            degenerate = detect(TimeSeries(x), cfg).degenerate_windows
+
+        assert sorted(curve) == list(range(2 * h, n - 2 * h + 1))
+        scalar_degenerate = 0
+        for j, value in curve.items():
+            left = rume(x[j - 2 * h:j], params, substream(seed, 2 * j))
+            right = rume(x[j:j + 2 * h], params, substream(seed, 2 * j + 1))
+            want = np.float64(abs(right.estimate - left.estimate))
+            assert np.float64(value).tobytes() == want.tobytes()
+            scalar_degenerate += left.degenerate + right.degenerate
+        assert degenerate == scalar_degenerate
 
     def test_too_short_series_rejected(self):
         cfg = DetectionConfig(h=20, epsilon=0.0, lambda_policy=ManualLambda(1.0),
@@ -425,7 +465,7 @@ class TestDetect:
         h = cfg.h
         span = trimming_span(h, cfg.epsilon, cfg.delta)
         js = np.arange(2 * h, n - 2 * h + 1)
-        view = sliding_window_view(rev_series.values, 2 * h)
+        view = np.sort(sliding_window_view(rev_series.values, 2 * h), axis=1)
 
         def mirrored_scan():
             left, _, _, left_kept = _rume_batch(
