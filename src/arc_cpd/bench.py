@@ -362,12 +362,9 @@ def _csv_num(x) -> str:
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     out = io.StringIO()
     out.write(BENCH_CSV_HEADER + "\n")
+    columns = BENCH_CSV_HEADER.split(",")  # each a BenchRow field
     for r in rows:
-        fields = [r.preset, r.n, r.epsilon, r.delta_blocks, r.kappa, r.sigma,
-                  r.window, r.method, r.mean_count_error, r.sd_count_error,
-                  r.median_scaled_dh, r.sd_scaled_dh, r.hist_k_eq_K,
-                  r.hist_k_eq_2D1, r.excluded_inf]
-        out.write(",".join(_csv_num(f) for f in fields) + "\n")
+        out.write(",".join(_csv_num(getattr(r, c)) for c in columns) + "\n")
     return out.getvalue()
 
 

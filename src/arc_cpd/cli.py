@@ -7,7 +7,9 @@ phase sweep), tune (tournament level selection only).
 Data files are single-column numeric text, one value per line, or
 two-column "timestamp,value" CSV whose first column is ignored; blank lines
 and lines starting with # are skipped, and the first line that is neither
-may be a one-line header.
+may be a one-line header. A leading UTF-8 byte-order mark is ignored; a
+value that is not finite (nan, inf, or past float max) is an error naming
+its line.
 Reports are JSON with a versioned schema; non-finite numbers are serialized
 as the strings "inf" / "-inf" / "nan".
 
@@ -83,7 +85,7 @@ def read_series(path: str) -> TimeSeries:
     """Parse a data file; see the module docstring for accepted layouts."""
     values: List[float] = []
     content_lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -96,12 +98,15 @@ def read_series(path: str) -> TimeSeries:
                     f"got {len(fields)}")
             token = fields[-1].strip()
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 if content_lines == 1:
                     continue  # the header: first line not blank or comment
                 raise ValueError(
                     f"{path}:{lineno}: not a number: {token!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: not finite: {token!r}")
+            values.append(value)
     return TimeSeries(np.asarray(values, dtype=np.float64),
                       name=os.path.basename(path))
 

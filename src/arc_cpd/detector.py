@@ -39,8 +39,7 @@ from .core import (
     mad_sigma,
     substream,
 )
-from .rume import (_rume_batch, _sorted_chunks, effective_epsilon,
-                   trimming_span)
+from .rume import _rume_batch, effective_epsilon, trimming_span
 
 __all__ = [
     "ManualLambda",
@@ -64,6 +63,10 @@ __all__ = [
 # Default constant for the theoretical threshold; callers tune it upward
 # when stronger null suppression is needed.
 DEFAULT_C_LAMBDA = 1.2
+
+# distinct windows per estimator call in the scan; bounds peak memory at
+# roughly chunk * 2h * 8 bytes per intermediate array
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,9 @@ def _scan_arrays(series: TimeSeries,
     Window s, x[s:s+2h], serves twice: as the left window of j = s + 2h
     (stream 2(s + 2h), s <= n - 4h) and as the right window of j = s
     (stream 2s + 1, s >= 2h). The n - 2h + 1 distinct windows are sorted
-    once, a kernel chunk at a time (`rume._sorted_chunks`), and both roles
-    run on slices of each sorted chunk, so no window is copied whole.
+    once, `_CHUNK` at a time, and both roles run on slices of each sorted
+    block, so no window is copied whole and each kernel call takes at most
+    `_CHUNK` rows.
     """
     x = series.values
     n = x.size
@@ -184,7 +188,9 @@ def _scan_arrays(series: TimeSeries,
     m = n - 4 * h + 1  # scan indices j = 2h..n-2h
     left_est, right_est = np.empty((2, m))
     degenerate = 0
-    for a, ws in _sorted_chunks(sliding_window_view(x, 2 * h)):
+    windows = sliding_window_view(x, 2 * h)
+    for a in range(0, len(windows), _CHUNK):
+        ws = np.sort(windows[a:a + _CHUNK], axis=1)
         b = a + len(ws)
         left = np.arange(a, min(b, m))
         est, _, _, kept = _rume_batch(ws[:left.size], 2 * (left + 2 * h),

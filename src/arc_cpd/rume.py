@@ -28,14 +28,15 @@ contamination. Given a window of 2h values and a failure level delta in
    the outcome as degenerate.
 
 One row-wise kernel, `_rume_batch`, computes the estimator for the scan,
-the tournament and `rume` alike. A window whose extremes could overflow a
-sum of 2h terms runs in one power-of-two unit (`core._unit`) and is scaled
-back, which is exact for normal floats; there, subnormal values lose low
-bits. A kept mean that rounds outside its kept interval is clipped into it.
-One helper, `_feasibility`, evaluates steps (2) and (3)
-elementwise over epsilon: the tournament calls it on the whole grid, and
-`effective_epsilon`, `feasibility_value`, `is_feasible` and
-`trimming_span` are one-level calls.
+the tournament and `rume` alike, in one pass over the rows it is given;
+the scan passes its windows a block at a time. A window whose extremes
+could overflow a sum of 2h terms runs in one power-of-two unit
+(`core._unit`) and is scaled back, which is exact for normal floats;
+there, subnormal values lose low bits. A kept mean that rounds outside
+its kept interval is clipped into it. One helper, `_feasibility`,
+evaluates steps (2) and (3) elementwise over epsilon: the tournament
+calls it on the whole grid, and `effective_epsilon`, `feasibility_value`,
+`is_feasible` and `trimming_span` are one-level calls.
 
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
@@ -178,11 +179,6 @@ def auto_delta(n: int, h: int, epsilon: float) -> float:
     return math.exp(-_SLACK * h * x_max)
 
 
-# batch size for the vectorized window pipeline; bounds peak memory at
-# roughly chunk * 2h * 8 bytes per intermediate array
-_CHUNK = 1024
-
-
 def _shortest(z: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Left end (0-based, first on ties) of the shortest interval spanning
     spans[i] steps of each ascending row z[i]. Rows come in their unit
@@ -195,23 +191,16 @@ def _shortest(z: np.ndarray, spans: np.ndarray) -> np.ndarray:
     return j0
 
 
-def _sorted_chunks(windows: np.ndarray):
-    """(start, block) for each block of `_CHUNK` rows of `windows`, the
-    block sorted along its rows; the scan's walk over its distinct windows,
-    chunked as `_rume_batch` chunks."""
-    for start in range(0, len(windows), _CHUNK):
-        yield start, np.sort(windows[start:start + _CHUNK], axis=1)
-
-
 def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
                 spans: Union[int, np.ndarray]):
     """The estimator over many ascending windows of equal width 2h, one per
-    row.
+    row, in one pass; a caller with many windows passes them a block at a
+    time, since each intermediate array holds about rows * 2h values.
 
     Each row must come sorted ascending, so a caller sorts each distinct
     window once and may pass it for several rows (a broadcast array is
     fine). Row i is split by the permutation of substream(seed,
-    stream_ids[i]), each chunk's taken in one `_permutations` call: one
+    stream_ids[i]), all rows' taken in one `_permutations` call: one
     membership mask of the first h shuffled positions picks both halves
     in position order, which is ascending value order. Row i is trimmed
     with span spans[i]; one int serves every row. Each row runs the plain
@@ -225,42 +214,33 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
     m, width = windows.shape
     h = width // 2
     spans = np.broadcast_to(spans, (m,))
-    estimates, lows, highs = np.empty((3, m))
-    kept = np.empty(m, dtype=np.int64)
+    unit = _unit(windows[:, 0], windows[:, -1], width)
+    perms = _permutations(seed, stream_ids, width)
+    rows = np.arange(m)
+    # flat positions of each row's first h shuffled positions
+    first = np.zeros(windows.size, dtype=bool)
+    first[(perms[:, :h] + width * rows[:, None]).ravel()] = True
+    flat = windows.ravel()
+    z = flat.take(np.flatnonzero(first)).reshape(-1, h)
+    z_held = flat.take(np.flatnonzero(~first)).reshape(-1, h)
+    z *= unit[:, None]
+    z_held *= unit[:, None]
 
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        ws = windows[start:stop]
-        unit = _unit(ws[:, 0], ws[:, -1], width)
-        perms = _permutations(seed, stream_ids[start:stop], width)
-        rows = np.arange(stop - start)
-        # flat positions of each row's first h shuffled positions
-        first = np.zeros(ws.size, dtype=bool)
-        first[(perms[:, :h] + width * rows[:, None]).ravel()] = True
-        flat = ws.ravel()
-        z = flat.take(np.flatnonzero(first)).reshape(-1, h)
-        z_held = flat.take(np.flatnonzero(~first)).reshape(-1, h)
-        z *= unit[:, None]
-        z_held *= unit[:, None]
+    j0 = _shortest(z, spans)
+    low, high = z[rows, j0], z[rows, j0 + spans]
 
-        span = spans[start:stop]
-        j0 = _shortest(z, span)
-        low, high = z[rows, j0], z[rows, j0 + span]
-
-        inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
-        count = inside.sum(axis=1)
-        means = (np.where(inside, z_held, 0.0).sum(axis=1) /
-                 np.maximum(count, 1))
-        # rounding can carry the mean of values at one end of the kept
-        # interval past it, as with 48 copies of 0.1; a mean inside keeps
-        # its bits, the sign of a zero too
-        means = np.where(means < low, low, np.where(means > high, high, means))
-        # middle pair of the sorted window
-        mids = 0.5 * (ws[:, h - 1] * unit + ws[:, h] * unit)
-        estimates[start:stop] = np.where(count == 0, mids, means) / unit
-        lows[start:stop], highs[start:stop], kept[start:stop] = \
-            low / unit, high / unit, count
-    return estimates, lows, highs, kept
+    inside = (z_held >= low[:, None]) & (z_held <= high[:, None])
+    kept = inside.sum(axis=1)
+    means = (np.where(inside, z_held, 0.0).sum(axis=1) /
+             np.maximum(kept, 1))
+    # rounding can carry the mean of values at one end of the kept
+    # interval past it, as with 48 copies of 0.1; a mean inside keeps
+    # its bits, the sign of a zero too
+    means = np.where(means < low, low, np.where(means > high, high, means))
+    # middle pair of the sorted window
+    mids = 0.5 * (windows[:, h - 1] * unit + windows[:, h] * unit)
+    estimates = np.where(kept == 0, mids, means) / unit
+    return estimates, low / unit, high / unit, kept
 
 
 def shorth_interval(sorted_half: Sequence[float], d: int):

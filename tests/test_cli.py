@@ -85,6 +85,26 @@ class TestReadSeries:
         with pytest.raises(ValueError):
             read_series(str(p))
 
+    @pytest.mark.parametrize("text, values", [
+        (b"\xef\xbb\xbf1.5\n2.0\n3.0\n", [1.5, 2.0, 3.0]),
+        (b"\xef\xbb\xbfvalue\n2.0\n3.0\n", [2.0, 3.0]),
+    ], ids=["bom_before_number", "bom_before_header"])
+    def test_byte_order_mark_ignored(self, tmp_path, text, values):
+        # a BOM left on the first line made it fail to parse, so a first
+        # value was taken for a header and dropped without an error
+        p = tmp_path / "bom.csv"
+        p.write_bytes(text)
+        assert list(read_series(str(p)).values) == values
+
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("# c\n1.0\n2.0\n1e400\n4.0\n")
+        with pytest.raises(ValueError, match=r"big\.csv:4: not finite"):
+            read_series(str(p))
+        assert run(["detect", "--input", str(p), "--h", "2",
+                    "--epsilon", "0.1"]) == 2
+        assert "big.csv:4: not finite" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_constant_series_finds_nothing(self, tmp_path):

@@ -1,6 +1,5 @@
 """Scan statistic, maximizer extraction, thresholding, and aggregation."""
 
-import importlib
 import math
 import warnings
 from unittest import mock
@@ -38,8 +37,6 @@ from arc_cpd import (
     substream,
     trimming_span,
 )
-
-RUME_MODULE = importlib.import_module("arc_cpd.rume")
 
 
 def hiding_setting(seed, n=5000, epsilon=0.1, kappa=1.0):
@@ -173,7 +170,7 @@ class TestScanStatistic:
                               lambda_policy=ManualLambda(1.0), delta=0.9,
                               sigma=1.0, seed=seed)
         params = RumeParams(epsilon, cfg.delta)
-        with mock.patch.object(RUME_MODULE, "_CHUNK", chunk):
+        with mock.patch.object(detector, "_CHUNK", chunk):
             curve = scan_statistic(TimeSeries(x), cfg)
             degenerate = detect(TimeSeries(x), cfg).degenerate_windows
 

@@ -266,20 +266,24 @@ class TestTournament:
                 assert res.scores[j] is None
         assert res.feasible[res.selected_index]
 
-    def test_estimates_follow_named_streams(self):
-        # candidate j is rume on substream(rng.child_seed(), j), bit for bit
-        ts, delta = contaminated_training(21), 1.0 / 5000.0
-        rng = substream(9, 0)
-        res = tournament(ts, TournamentConfig(), 170, delta, rng)
-        assert not all(res.feasible)
+    @pytest.mark.parametrize("size, feasible", [(201, 108), (2001, 1075)],
+                             ids=["201", "2001"])
+    def test_estimates_follow_named_streams(self, size, feasible):
+        # candidate j is rume on substream(rng.child_seed(), j), bit for bit;
+        # the larger grid sends more rows than one scan block (1024) to one
+        # estimator call
+        grid, delta = default_grid(size), 1.0 / 5000.0
+        ts, rng = contaminated_training(21), substream(9, 0)
+        res = tournament(ts, TournamentConfig(grid=grid), 170, delta, rng)
+        assert sum(res.feasible) == feasible
         base = rng.child_seed()
         for j, ok in enumerate(res.feasible):
             if ok:
-                out = rume(ts.values, RumeParams(default_grid()[j], delta),
+                out = rume(ts.values, RumeParams(grid[j], delta),
                            substream(base, j))
                 assert bits(out.estimate) == bits(res.estimates[j])
         # one more, infeasible level moves no other candidate's estimate
-        wider = TournamentConfig(grid=default_grid() + (0.45,))
+        wider = TournamentConfig(grid=grid + (0.45,))
         more = tournament(ts, wider, 170, delta, rng)
         assert not more.feasible[-1]
         assert [bits(e) for e in more.estimates[:-1]] == \
