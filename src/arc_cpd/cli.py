@@ -9,7 +9,8 @@ two-column "timestamp,value" CSV whose first column is ignored; blank lines
 and lines starting with # are skipped, and the first line that is neither
 may be a one-line header. A leading UTF-8 byte-order mark is ignored; a
 value that is not finite (nan, inf, or past float max) is an error naming
-its line.
+its line. JSON inputs (a --grid file, a --truth file) may also start with
+a byte-order mark, and a malformed one is an error naming the file.
 Reports are JSON with a versioned schema; non-finite numbers are serialized
 as the strings "inf" / "-inf" / "nan".
 
@@ -150,9 +151,18 @@ def _parse_delta(raw: Optional[str]):
     return float(raw)
 
 
+def _read_json(path: str):
+    """The JSON document in a file, after any byte-order mark; a malformed
+    document raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
 def _load_truth(path: str, n: int) -> ChangePointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict):
         locs = data.get("truth_F", data.get("change_points"))
         if locs is None:
@@ -315,8 +325,7 @@ def _tuples(x):
 
 
 def _grid_from_json(path: str) -> ExperimentGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: grid description must be a JSON object")
     unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentGrid)}

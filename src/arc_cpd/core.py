@@ -301,13 +301,23 @@ _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 
 
-def _hashmix(value, hash_const: int):
+def _hashmix(value, hash_const, mult: int = _MULT_A):
     """SeedSequence's hashmix on 32-bit words held in Python ints or uint64
-    arrays; returns the hashed value and the next hash constant."""
+    arrays; returns the hashed value and the next hash constant. A column
+    of constants hashes a value once per row."""
     value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _M32
+    hash_const = (hash_const * mult) & _M32
     value = (value * hash_const) & _M32
     return value ^ (value >> 16), hash_const
+
+
+def _chain(hash_const: int, count: int, mult: int) -> np.ndarray:
+    """count successive hash constants from hash_const, as a uint64 column;
+    they do not depend on the data."""
+    chain = [hash_const]
+    for _ in range(count - 1):
+        chain.append((chain[-1] * mult) & _M32)
+    return np.asarray(chain, dtype=np.uint64)[:, None]
 
 
 def _mix(x, y):
@@ -322,7 +332,9 @@ def _spawn_states(seed: int, ids) -> np.ndarray:
     A spawned SeedSequence hashes the seed's 32-bit words, zero-padded to
     its pool of 4, then each id word into every pool word. The first part
     depends only on the seed, and the hash constants advance without
-    looking at the data, so only the id words are mixed per row.
+    looking at the data, so only the id words are mixed per row: each as
+    one (4, m) array step, the second word only when some id has one, and
+    the 8 output words as one (8, m) step.
     """
     pool, hc = [], _INIT_A
     for word in (seed & _M32, seed >> 32, 0, 0):
@@ -335,24 +347,20 @@ def _spawn_states(seed: int, ids) -> np.ndarray:
                 pool[dst] = _mix(pool[dst], value)
 
     ids = np.asarray(ids, dtype=np.uint64)
-    pool = [np.full(ids.shape, p, dtype=np.uint64) for p in pool]
     high = ids >> np.uint64(32)
     two_words = high != 0  # ids past 2^32 carry a second word
-    for k, word in enumerate((ids & np.uint64(_M32), high)):
-        for dst in range(4):
-            value, hc = _hashmix(word, hc)
-            mixed = _mix(pool[dst], value)
-            pool[dst] = mixed if k == 0 else np.where(two_words, mixed,
-                                                      pool[dst])
+    # each id word is hashed into all 4 pool words as one (4, m) step
+    pool = np.asarray(pool, dtype=np.uint64)[:, None]
+    value, hcs = _hashmix(ids & np.uint64(_M32), _chain(hc, 4, _MULT_A))
+    pool = _mix(pool, value)
+    if two_words.any():
+        value, _ = _hashmix(high, _chain(int(hcs[-1, 0]), 4, _MULT_A))
+        pool = np.where(two_words, _mix(pool, value), pool)
 
-    words, hc = [], _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ hc
-        hc = (hc * _MULT_B) & _M32
-        value = (value * hc) & _M32
-        words.append(value ^ (value >> 16))
-    return np.stack([words[2 * i] | (words[2 * i + 1] << np.uint64(32))
-                     for i in range(4)], axis=1)
+    # output word i hashes pool word i % 4
+    words, _ = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, 8, _MULT_B),
+                        _MULT_B)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
 def _permutations(seed: int, ids, width: int) -> np.ndarray:

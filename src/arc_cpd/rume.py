@@ -181,14 +181,25 @@ def auto_delta(n: int, h: int, epsilon: float) -> float:
 
 def _shortest(z: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Left end (0-based, first on ties) of the shortest interval spanning
-    spans[i] steps of each ascending row z[i]. Rows come in their unit
-    (`core._unit`), so no width overflows."""
-    j0 = np.empty(len(z), dtype=np.int64)
-    for d in np.unique(spans):  # rows sharing a span share one width pass
-        rows = spans == d
-        part = z if rows.all() else z[rows]
-        j0[rows] = (part[:, d:] - part[:, :-d]).argmin(axis=1)
-    return j0
+    spans[i] steps of each ascending row z[i].
+
+    Rows that share one span take one slice difference (the scan's case);
+    mixed spans (the tournament's) take every width from one gather. Rows
+    come in their unit (`core._unit`), so no real width overflows.
+    """
+    m, h = z.shape
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    d = int(spans[0])
+    if (spans == d).all():
+        return (z[:, d:] - z[:, :-d]).argmin(axis=1)
+    # mixed spans: one gather of every right end, positions past h - 1
+    # padded with +inf so they never win
+    ends = np.arange(h - spans.min()) + spans[:, None]
+    widths = np.take_along_axis(z, np.minimum(ends, h - 1), axis=1)
+    widths -= z[:, :ends.shape[1]]
+    widths[ends >= h] = np.inf
+    return widths.argmin(axis=1)
 
 
 def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,

@@ -53,32 +53,41 @@ _EQUAL_RTOL = 1e-9
 _MARGIN_ATOL = 1e-12
 
 
-def _beats(theta_a, theta_b, sorted_training: np.ndarray, sigma: float):
-    """1 where theta_b predicts the frequency of E_ab better, else 0.
+def _beats(ranked: np.ndarray, sorted_training: np.ndarray,
+           sigma: float) -> np.ndarray:
+    """k x k 0/1 matrix over ascending estimates: entry (a, b) is 1 where
+    ranked[b] predicts the frequency of E_ab better; tied estimates score 0.
 
-    Broadcasts over theta_a and theta_b; tied estimates score 0. One
-    search of the sorted training counts the event for every pair.
+    Each unordered pair lo < hi is visited once: its midpoint, gap and tie
+    flag serve both orientations. E_lo,hi = {y < mid} is counted by a left
+    search of the sorted training and E_hi,lo = {y > mid} as t minus a
+    right search. The (hi, lo) CDF arguments are the exact negations of
+    the (lo, hi) ones, since (-x) / sigma == -(x / sigma).
     """
     t = sorted_training.size
-    mid = 0.5 * theta_a + 0.5 * theta_b  # a plain sum can overflow
-    # E_ab = {y closer to theta_a}: below the midpoint when theta_a is the
-    # smaller model, above it when the larger
-    smaller = theta_a < theta_b
-    sign = np.where(smaller, 1.0, -1.0)
-    # past float max a gap is no tie, a step past it is inf where the count
-    # stays exact, and the CDF's limit at inf is exact
+    k = ranked.size
+    upper = ~np.tri(k, dtype=bool)  # entry (a, b) with a < b
+    lo = np.broadcast_to(ranked[:, None], (k, k))[upper]
+    hi = np.broadcast_to(ranked, (k, k))[upper]
+    mid = 0.5 * lo + 0.5 * hi  # a plain sum can overflow
+    # past float max a gap is no tie, and the CDF's limit at inf is exact
     with np.errstate(over="ignore"):
-        # #{y > mid} = t - #{y <= mid} = t - #{y < nextafter(mid, inf)}
-        edge = np.where(smaller, mid, np.nextafter(mid, np.inf))
-        p_a = ndtr(sign * (mid - theta_a) / sigma)
-        p_b = ndtr(sign * (mid - theta_b) / sigma)
-        gap = np.abs(theta_a - theta_b)
-    below = np.searchsorted(sorted_training, edge, side="left")
-    p_hat = np.where(smaller, below, t - below) / t
-    scale = np.maximum(1.0, np.maximum(np.abs(theta_a), np.abs(theta_b)))
+        u, v = (mid - lo) / sigma, (mid - hi) / sigma
+        gap = hi - lo
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     tie = gap <= _EQUAL_RTOL * scale
-    better = np.abs(p_hat - p_a) - np.abs(p_hat - p_b) > _MARGIN_ATOL
-    return (better & ~tie).astype(np.int64)
+    below = np.searchsorted(sorted_training, mid, side="left")
+    # #{y <= mid} differs from #{y < mid} only where mid hits a value
+    upto = below.copy()
+    hit = sorted_training[np.minimum(below, t - 1)] == mid
+    upto[hit] = np.searchsorted(sorted_training, mid[hit], side="right")
+    p_below, p_above = below / t, (t - upto) / t
+    out = np.zeros((k, k), dtype=np.int64)
+    out[upper] = ~tie & (np.abs(p_below - ndtr(u)) - np.abs(p_below - ndtr(v))
+                         > _MARGIN_ATOL)
+    out.T[upper] = ~tie & (np.abs(p_above - ndtr(-v))
+                           - np.abs(p_above - ndtr(-u)) > _MARGIN_ATOL)
+    return out
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> Tuple[float, ...]:
@@ -132,9 +141,10 @@ def pairwise_test(theta_j: float, theta_k: float,
                   training: Sequence[float], sigma: float) -> int:
     """1 when theta_k predicts the comparison-event frequency better, else 0.
 
-    Equal estimates carry no information and score 0. One pair of the
-    kernel the tournament runs over all pairs at once. Raises ValueError
-    on empty or non-finite training and on a non-finite estimate.
+    Equal estimates carry no information and score 0. A two-row call of
+    the pair kernel the tournament runs: the pair is sorted and its entry
+    read in the pair's orientation. Raises ValueError on empty or
+    non-finite training and on a non-finite estimate.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -143,7 +153,10 @@ def pairwise_test(theta_j: float, theta_k: float,
         raise ValueError("training must be one-dimensional and nonempty")
     if not (np.isfinite(y).all() and np.isfinite([theta_j, theta_k]).all()):
         raise ValueError("training values and estimates must be finite")
-    return int(_beats(np.float64(theta_j), np.float64(theta_k), y, sigma))
+    # a two-row call; row 0 holds the lower estimate
+    beats = _beats(np.sort(np.asarray([theta_j, theta_k], dtype=np.float64)),
+                   y, sigma)
+    return int(beats[1, 0] if theta_k < theta_j else beats[0, 1])
 
 
 def _training_window(series: TimeSeries,
@@ -173,8 +186,9 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     with base = rng.child_seed(), so estimates[j] equals rume(window,
     RumeParams(grid[j], delta), substream(base, j)) bit for bit and
     feasibility filtering never shifts the randomness of other candidates.
-    All pairs then play in one call of the pairwise kernel over the same
-    sorted window, in ascending order of estimate, so scores[j] counts the
+    All pairs then play in one call of the pair kernel over the same sorted
+    window, the estimates in ascending order: each unordered pair is
+    evaluated once and decides both orientations, so scores[j] counts the
     feasible k with pairwise_test(estimates[j], estimates[k], window,
     sigma) == 1.
     """
@@ -212,8 +226,7 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     order = np.argsort(theta, kind="stable")
     ranked = theta[order]
     alive_scores = np.empty(k, dtype=np.int64)
-    alive_scores[order] = _beats(ranked[:, None], ranked[None, :], ascending,
-                                 tc.sigma).sum(axis=1)
+    alive_scores[order] = _beats(ranked, ascending, tc.sigma).sum(axis=1)
 
     # None marks the infeasible levels
     estimates, scores = np.full((2, grid.size), None)

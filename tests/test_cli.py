@@ -229,6 +229,17 @@ class TestDetect:
                           "covering"}
         assert 0.0 <= m["covering"] <= 1.0
 
+    def test_truth_file_with_byte_order_mark(self, gaussian_file, tmp_path):
+        truth = tmp_path / "truth.json"
+        truth.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"change_points": [400]}).encode())
+        out = tmp_path / "rep.json"
+        code = run(["detect", "--input", gaussian_file, "--h", "100",
+                    "--epsilon", "0.1", "--sigma", "1", "--truth",
+                    str(truth), "--out", str(out)])
+        assert code == 0
+        assert "hausdorff" in json.loads(out.read_text())["metrics"]
+
     def test_auto_epsilon_reports_tuning(self, tmp_path):
         g = np.random.default_rng(1000)
         v = g.normal(0.0, 1.0, 1000)
@@ -331,6 +342,28 @@ class TestBench:
         assert run(["bench", "--grid", str(grid_path), "--out", str(a)]) == 0
         assert run(["bench", "--grid", str(grid_path), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_grid_file_with_byte_order_mark(self, tmp_path):
+        # the mark made json.load fail with exit 2
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(self.GRID).encode())
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(self.GRID))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["bench", "--grid", str(grid_path), "--out", str(a)]) == 0
+        assert run(["bench", "--grid", str(plain), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["grid", "truth"])
+    def test_malformed_json_names_its_file(self, flag, gaussian_file,
+                                           tmp_path, capsys):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"preset": }')
+        argv = (["bench", "--grid", str(bad)] if flag == "grid" else
+                ["detect", "--input", gaussian_file, "--h", "100",
+                 "--epsilon", "0.1", "--sigma", "1", "--truth", str(bad)])
+        assert run(argv) == 2
+        assert f"{bad}: Expecting value" in capsys.readouterr().err
 
     def test_missing_grid_exits_2(self, tmp_path):
         assert run(["bench", "--grid", str(tmp_path / "nope.json")]) == 2

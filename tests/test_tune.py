@@ -218,6 +218,24 @@ class TestPairwiseKernel:
                     assert pairwise_test(a, b, training, sigma) == \
                         expected[i, j]
 
+    def test_scores_at_scale_equal_oracle(self):
+        # 1075 feasible levels, far past the six estimates drawn above: a
+        # checked score is the sum of its step-by-step pair decisions
+        grid, delta = default_grid(2001), 1.0 / 5000.0
+        ts = contaminated_training(21)
+        res = tournament(ts, TournamentConfig(grid=grid), 170, delta,
+                         substream(9, 0))
+        alive = [j for j, ok in enumerate(res.feasible) if ok]
+        assert len(alive) == 1075
+        est = {j: res.estimates[j] for j in alive}
+        picks = {res.selected_index, min(alive, key=est.get),
+                 max(alive, key=est.get), alive[1], alive[len(alive) // 2]}
+        assert len(picks) == 5
+        scores = {j: sum(oracle_pairwise(est[j], est[k], ts.values, 1.0)
+                         for k in alive) for j in picks}
+        assert {j: res.scores[j] for j in picks} == scores
+        assert len(set(scores.values())) > 1
+
     def test_near_float_max(self):
         # the plain midpoint of these estimates is inf
         training = np.full(50, 1.5e308)
