@@ -36,7 +36,6 @@ from .detector import (
     ManualLambda,
     RealDataHeavyTailLambda,
     RealDataLambda,
-    RunSummary,
     SimulationDefaultLambda,
     TheoreticalLambda,
     baseline_scan,

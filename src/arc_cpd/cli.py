@@ -61,7 +61,13 @@ from .detector import (
 from .metrics import score
 from .rume import auto_delta
 from .simgen import PRESET_NAMES, build_preset, generate
-from .tune import TournamentConfig, default_grid, tournament
+from .tune import (
+    DEFAULT_GRID_SIZE,
+    TournamentConfig,
+    TournamentResult,
+    default_grid,
+    tournament,
+)
 
 REPORT_SCHEMA = "arc-cpd/report/v1"
 TRUTH_SCHEMA = "arc-cpd/truth/v1"
@@ -112,19 +118,18 @@ def read_series(path: str) -> TimeSeries:
                       name=os.path.basename(path))
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
-                      allow_nan=False)
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _emit_json(payload: dict, out: Optional[str]) -> None:
+    _emit(json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                     allow_nan=False) + "\n", out)
 
 
 def _parse_range(raw: str) -> Tuple[int, int]:
@@ -145,10 +150,8 @@ def _parse_sigma(raw: str) -> Optional[float]:
     return value
 
 
-def _parse_delta(raw: Optional[str]):
-    if raw is None or raw == "auto":
-        return raw
-    return float(raw)
+def _parse_delta(raw: str):
+    return raw if raw == "auto" else float(raw)
 
 
 def _read_json(path: str):
@@ -172,46 +175,52 @@ def _load_truth(path: str, n: int) -> ChangePointSet:
     return ChangePointSet(tuple(int(x) for x in locs), n)
 
 
+def _sigma(args, series: TimeSeries) -> float:
+    """--sigma, or the MAD estimate of series when it is unset or 'auto'."""
+    return args.sigma if args.sigma is not None else mad_sigma(series)
+
+
+def _tune(series: TimeSeries, args, sigma: float,
+          grid: Tuple[float, ...]) -> TournamentResult:
+    """The tournament over grid on the --train-range slice, drawing from
+    stream 0 of --seed. The detection half-width is --h, or half the
+    training range (at least 2); delta is --delta, or 1/n when it is unset
+    or 'auto'."""
+    tc = TournamentConfig(grid=grid,
+                          training_range=_parse_range(args.train_range),
+                          sigma=sigma)
+    a, b = tc.training_range
+    h = args.h if args.h is not None else max((b - a) // 2, 2)
+    delta = 1.0 / series.n if args.delta in (None, "auto") else args.delta
+    return tournament(series, tc, detection_h=h, delta=delta,
+                      rng=substream(args.seed, 0))
+
+
 def cmd_detect(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     series = read_series(args.input)
     n = series.n
     h = args.h
-    sigma = args.sigma
-    sigma_value = sigma if sigma is not None else mad_sigma(series)
+    sigma_value = _sigma(args, series)
+    radius = (2 * h if args.profile == "realdata"
+              and args.maximizer_radius is None else args.maximizer_radius)
+    policy_name = ("manual" if args.lambda_value is not None
+                   else args.lambda_policy or args.profile or "sim")
+    policy = (ManualLambda(args.lambda_value) if policy_name == "manual"
+              else _POLICIES[policy_name]())
 
-    radius = args.maximizer_radius
-    policy_name = args.lambda_policy
-    if args.profile == "realdata":
-        if radius is None:
-            radius = 2 * h
-        if policy_name is None and args.lambda_value is None:
-            policy_name = "realdata"
-    if policy_name is None:
-        policy_name = "sim"
-    if args.lambda_value is not None:
-        policy = ManualLambda(args.lambda_value)
-        policy_name = "manual"
-    else:
-        policy = _POLICIES[policy_name]()
-
-    delta_flag = args.delta
     epsilon = args.epsilon
     seed = args.seed
     tuning = None
     if args.auto_epsilon:
-        tc = TournamentConfig(training_range=_parse_range(args.train_range),
-                              sigma=sigma_value)
-        tune_delta = 1.0 / n if delta_flag in (None, "auto") else delta_flag
-        result = tournament(series, tc, detection_h=h, delta=tune_delta,
-                            rng=substream(seed, 0))
+        result = _tune(series, args, sigma_value, default_grid())
         epsilon = result.epsilon_selected
         tuning = {"epsilon_selected": epsilon,
                   "tournament_scores": list(result.scores)}
         seed = substream(seed, 1).child_seed()
 
-    delta = auto_delta(n, h, epsilon) if delta_flag == "auto" else delta_flag
+    delta = auto_delta(n, h, epsilon) if args.delta == "auto" else args.delta
 
     config = DetectionConfig(h=h, epsilon=epsilon, lambda_policy=policy,
                              delta=delta, sigma=sigma_value,
@@ -219,36 +228,23 @@ def cmd_detect(args) -> int:
 
     if args.runs > 1:
         agg = detect_repeated(series, config, args.runs)
-        estimated = agg.consensus_locations
-        result = {
-            "k_hat": estimated.k,
-            "change_points": list(estimated.locations),
-            "modal_k": agg.modal_k,
-            "khat_histogram": {str(k): v
-                               for k, v in agg.khat_histogram.items()},
-        }
-        lambda_used = agg.per_run[0].lambda_used
-        eps_eff = agg.per_run[0].epsilon_effective
-        degenerate = sum(s.degenerate_windows for s in agg.per_run)
-        curve = None
+        reports, estimated = agg.per_run, agg.consensus_locations
+        result = {"modal_k": agg.modal_k,
+                  "khat_histogram": {str(k): v for k, v
+                                     in agg.khat_histogram.items()}}
     else:
-        report = detect(series, config)
-        estimated = report.estimated
-        result = {
-            "k_hat": estimated.k,
-            "change_points": list(estimated.locations),
-        }
-        lambda_used = report.lambda_used
-        eps_eff = report.epsilon_effective
-        degenerate = report.degenerate_windows
-        curve = report.scan_curve
+        reports = (detect(series, config),)
+        estimated, result = reports[0].estimated, {}
+    result.update(k_hat=estimated.k, change_points=list(estimated.locations))
+    report = reports[0]
 
     if args.dump_curve:
-        if curve is None:
+        if report.scan_curve is None:
             raise ValueError("--dump-curve needs --runs 1")
         lines = ["index,value"]
-        lines += [f"{j},{format(v, '.17g')}" for j, v in sorted(curve.items())]
-        _write_text(args.dump_curve, "\n".join(lines) + "\n")
+        lines += [f"{j},{format(v, '.17g')}"
+                  for j, v in sorted(report.scan_curve.items())]
+        _emit("\n".join(lines) + "\n", args.dump_curve)
 
     payload = {
         "schema": REPORT_SCHEMA,
@@ -258,7 +254,7 @@ def cmd_detect(args) -> int:
             "h": h,
             "epsilon": epsilon,
             "delta": delta if delta is not None else 1.0 / n,
-            "lambda": lambda_used,
+            "lambda": report.lambda_used,
             "sigma": sigma_value,
             "policy": policy_name,
             "maximizer_radius": radius if radius is not None else 4 * h,
@@ -267,8 +263,9 @@ def cmd_detect(args) -> int:
         },
         "result": result,
         "diagnostics": {
-            "degenerate_windows": degenerate,
-            "epsilon_effective": eps_eff,
+            "degenerate_windows": sum(r.degenerate_windows
+                                      for r in reports),
+            "epsilon_effective": report.epsilon_effective,
         },
     }
     if tuning is not None:
@@ -296,8 +293,7 @@ def cmd_simulate(args) -> int:
     ls = generate(spec)
     values = ls.series.values
     data_path = args.out + ".csv"
-    _write_text(data_path,
-                "\n".join(format(v, ".17g") for v in values) + "\n")
+    _emit("\n".join(format(v, ".17g") for v in values) + "\n", data_path)
     mask = ls.contaminated_mask
     truth_path = args.out + ".truth.json"
     payload = {
@@ -351,37 +347,22 @@ def cmd_bench(args) -> int:
         lines = ["kappa_over_sigma,success_rate"]
         lines += [f"{format(k, '.6g')},{format(r, '.6g')}"
                   for k, r in points]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            _write_text(args.out, text)
-        else:
-            print(text, end="")
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
 
     rows = []
     for grid in grids:
         rows.extend(run_grid(grid, threads=args.threads))
-    csv_text = rows_to_csv(rows)
-    if args.out:
-        _write_text(args.out, csv_text)
-    else:
-        print(csv_text, end="")
+    _emit(rows_to_csv(rows), args.out)
     if args.json_out:
-        _write_text(args.json_out, rows_to_json(rows) + "\n")
+        _emit(rows_to_json(rows) + "\n", args.json_out)
     return 0
 
 
 def cmd_tune(args) -> int:
     series = read_series(args.input)
-    sigma_value = args.sigma if args.sigma is not None else mad_sigma(series)
-    tc = TournamentConfig(grid=default_grid(args.grid_size),
-                          training_range=_parse_range(args.train_range),
-                          sigma=sigma_value)
-    a, b = tc.training_range
-    detection_h = args.h if args.h is not None else max((b - a) // 2, 2)
-    delta = args.delta if args.delta is not None else 1.0 / series.n
-    result = tournament(series, tc, detection_h=detection_h, delta=delta,
-                        rng=substream(args.seed, 0))
+    sigma = _sigma(args, series)
+    result = _tune(series, args, sigma, default_grid(args.grid_size))
     _emit_json({
         "schema": REPORT_SCHEMA,
         "input": args.input,
@@ -474,7 +455,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=_parse_sigma, default=None,
                    help="noise scale, or 'auto' for the MAD estimate "
                         "(the default)")
-    p.add_argument("--grid-size", type=int, default=201)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--h", type=int, default=None,
                    help="intended detection half-width for the feasibility "
                         "gate (default: training half-width)")

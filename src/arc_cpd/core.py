@@ -468,10 +468,11 @@ class RunReport:
     scan_curve maps every scan index j in {2h, ..., n-2h} to the statistic
     value at j; every value is finite (a scan that is not raises
     NonFiniteScan). Every estimated location is one of these keys and its
-    value strictly exceeds lambda_used.
+    value strictly exceeds lambda_used. It is None only in the per_run
+    reports of an AggregateReport, which drop the curve.
     """
 
-    scan_curve: dict
+    scan_curve: Optional[dict]
     estimated: ChangePointSet
     degenerate_windows: int
     lambda_used: float

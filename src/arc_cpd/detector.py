@@ -50,7 +50,6 @@ __all__ = [
     "LambdaPolicy",
     "DEFAULT_C_LAMBDA",
     "resolve_lambda",
-    "RunSummary",
     "AggregateReport",
     "scan_statistic",
     "local_maximizers",
@@ -132,24 +131,13 @@ def resolve_lambda(policy: LambdaPolicy, *, sigma: float, epsilon: float,
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    """Per-run digest kept by repeated detection (no scan curve)."""
-
-    k_hat: int
-    locations: tuple
-    lambda_used: float
-    epsilon_effective: float
-    degenerate_windows: int
-    seed_used: int
-
-
-@dataclass(frozen=True)
 class AggregateReport:
     """Aggregation of repeated randomized runs on one series.
 
     modal_k maximizes the histogram (smallest value on ties); the consensus
-    locations are coordinatewise medians over the runs that produced the
-    modal count.
+    locations are coordinatewise lower medians over the runs that produced
+    the modal count. per_run holds each run's RunReport in run order, with
+    scan_curve set to None.
     """
 
     runs: int
@@ -346,54 +334,37 @@ def baseline_scan(series: TimeSeries, config: DetectionConfig) -> RunReport:
                         scan, 0.0)
 
 
-def _summary(report: RunReport) -> RunSummary:
-    return RunSummary(
-        k_hat=report.estimated.k,
-        locations=report.estimated.locations,
-        lambda_used=report.lambda_used,
-        epsilon_effective=report.epsilon_effective,
-        degenerate_windows=report.degenerate_windows,
-        seed_used=report.seed_used,
-    )
-
-
-def _lower_median(column: np.ndarray) -> int:
-    ordered = np.sort(column)
-    return int(ordered[(ordered.size - 1) // 2])
-
-
 def detect_repeated(series: TimeSeries, config: DetectionConfig,
                     runs: int) -> AggregateReport:
     """Aggregate R randomized runs; run r uses a seed derived from (seed, r).
 
-    The modal count breaks ties toward the smaller value. Consensus
+    Each run is a detect call whose RunReport is kept without its scan
+    curve. The modal count breaks ties toward the smaller value. Consensus
     locations are coordinatewise lower medians over the modal-count runs,
     which keeps them integers and strictly increasing.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    summaries = []
-    for r in range(1, runs + 1):
-        seed_r = substream(config.seed, r).child_seed()
-        summaries.append(_summary(detect(series, replace(config, seed=seed_r))))
-
-    histogram = Counter(s.k_hat for s in summaries)
+    reports = tuple(
+        replace(detect(series, replace(
+            config, seed=substream(config.seed, r).child_seed())),
+            scan_curve=None)
+        for r in range(1, runs + 1))
+    histogram = Counter(rep.estimated.k for rep in reports)
     top = max(histogram.values())
     modal_k = min(k for k, c in histogram.items() if c == top)
-    modal_runs = [s for s in summaries if s.k_hat == modal_k]
-    if modal_k == 0:
-        consensus = ChangePointSet((), series.n)
-    else:
-        stacked = np.asarray([s.locations for s in modal_runs], dtype=np.int64)
-        consensus = ChangePointSet(
-            tuple(_lower_median(stacked[:, c]) for c in range(modal_k)),
-            series.n)
+    modal = [rep.estimated.locations for rep in reports
+             if rep.estimated.k == modal_k]
+    # equal-length rows give shape (len(modal), modal_k), also at modal_k 0
+    stacked = np.sort(np.asarray(modal, dtype=np.int64), axis=0)
+    consensus = stacked[(len(modal) - 1) // 2]
     return AggregateReport(
         runs=runs,
         khat_histogram=dict(sorted(histogram.items())),
         modal_k=modal_k,
-        consensus_locations=consensus,
-        per_run=tuple(summaries),
+        consensus_locations=ChangePointSet(
+            tuple(int(j) for j in consensus), series.n),
+        per_run=reports,
     )
 
 

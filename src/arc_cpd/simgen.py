@@ -218,7 +218,11 @@ class AttackSpec:
 
     def _check_truth(self, truth: Sequence[int]) -> None:
         # ChangePointSet enforces ordering and range; build it to validate
-        ChangePointSet(tuple(truth), self.n)
+        try:
+            ChangePointSet(tuple(truth), self.n)
+        except ValueError as err:
+            raise SpecInvalid(f"truth {tuple(truth)} does not fit "
+                              f"n = {self.n}: {err}") from None
 
 
 @dataclass(frozen=True, eq=False)

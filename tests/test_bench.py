@@ -359,3 +359,14 @@ class TestPresetGrids:
         for g in grids:
             assert tuple(sorted({c.window for c in g.cells()})) == \
                 (85, 170, 255, 340, 511)
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: ExperimentGrid(preset="spurious", n=1000,
+                                            methods=()),
+                     ValueError, "methods must be nonempty", id="no_methods"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -196,6 +196,23 @@ class TestDetect:
         assert int(first[0]) == 120
         float(first[1])
 
+    @pytest.mark.parametrize("extra, policy, radius", [
+        ([], "realdata", 120),
+        (["--lambda", "0.7"], "manual", 120),
+        (["--maximizer-radius", "30"], "realdata", 30),
+        (["--lambda-policy", "sim"], "sim", 120),
+    ], ids=["alone", "lambda", "radius", "policy"])
+    def test_realdata_profile(self, gaussian_file, tmp_path, extra, policy,
+                              radius):
+        # the profile sets radius 2h and the realdata rule unless overridden
+        out = tmp_path / "rep.json"
+        assert run(["detect", "--input", gaussian_file, "--h", "60",
+                    "--epsilon", "0.1", "--sigma", "1", "--profile",
+                    "realdata", "--out", str(out)] + extra) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["policy"] == policy
+        assert config["maximizer_radius"] == radius
+
     def test_dump_curve_needs_single_run(self, gaussian_file, tmp_path):
         assert run(["detect", "--input", gaussian_file, "--h", "60",
                     "--epsilon", "0.1", "--sigma", "1", "--runs", "3",
@@ -240,6 +257,29 @@ class TestDetect:
         assert code == 0
         assert "hausdorff" in json.loads(out.read_text())["metrics"]
 
+    def test_truth_as_bare_list(self, gaussian_file, tmp_path):
+        # a bare JSON list scores exactly like the same list under truth_F
+        reports = []
+        for name, truth in (("list", [400]), ("dict", {"truth_F": [400]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(truth))
+            out = tmp_path / f"{name}.rep.json"
+            assert run(["detect", "--input", gaussian_file, "--h", "100",
+                        "--epsilon", "0.1", "--sigma", "1", "--truth",
+                        str(path), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["metrics"])
+        assert reports[0] == reports[1]
+
+    def test_truth_without_locations_exits_2(self, gaussian_file, tmp_path,
+                                             capsys):
+        truth = tmp_path / "empty.json"
+        truth.write_text(json.dumps({"locations": [400]}))
+        assert run(["detect", "--input", gaussian_file, "--h", "100",
+                    "--epsilon", "0.1", "--sigma", "1", "--truth",
+                    str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: no truth_F or change_points field" in err
+
     def test_auto_epsilon_reports_tuning(self, tmp_path):
         g = np.random.default_rng(1000)
         v = g.normal(0.0, 1.0, 1000)
@@ -275,6 +315,11 @@ class TestSimulate:
         truth = json.loads((tmp_path / "s.truth.json").read_text())
         assert truth["truth_F"] == []
         assert truth["truth_EY"] == [2500]
+
+    def test_truth_past_short_n_exits_2(self, tmp_path, capsys):
+        assert run(["simulate", "--preset", "sine", "--n", "3", "--out",
+                    str(tmp_path / "x")]) == 2
+        assert "does not fit n = 3" in capsys.readouterr().err
 
     def test_hiding_zero_epsilon_exits_2(self, tmp_path):
         assert run(["simulate", "--preset", "hiding", "--n", "1000",
@@ -426,6 +471,30 @@ class TestTune:
         assert run(["tune", "--input", data, "--train-range", "0:300",
                     "--sigma", sigma]) == 2
         assert "--sigma" in capsys.readouterr().err
+
+
+class TestStdout:
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--h", "60", "--epsilon", "0.1", "--sigma", "1"],
+        ["tune", "--train-range", "0:300", "--sigma", "1"],
+        ["bench", "--grid"],
+        ["bench", "--paper-table", "phase", "--reps", "1"],
+    ], ids=["detect", "tune", "bench_grid", "bench_phase"])
+    def test_stdout_equals_out_file(self, argv, gaussian_file, tmp_path,
+                                    capsys):
+        if argv[0] in ("detect", "tune"):
+            argv = argv + ["--input", gaussian_file]
+        elif argv[1] == "--grid":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps(TestBench.GRID))
+            argv = argv + [str(grid)]
+        capsys.readouterr()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed.encode("utf-8") == out.read_bytes()
 
 
 class TestEntryPoint:

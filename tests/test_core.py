@@ -340,3 +340,18 @@ class TestErrorsPickle:
             assert type(back) is type(err)
             assert back.args == err.args
             assert vars(back) == vars(err)
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0),
+            maximizer_radius=0), ValueError, "maximizer_radius must be >= 1",
+            id="radius_zero"),
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0), seed=2**64),
+            ValueError, "seed must fit in 64 unsigned bits", id="seed_2_64"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

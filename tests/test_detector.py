@@ -498,8 +498,9 @@ class TestDetectRepeated:
         agg = detect_repeated(ls.series, cfg, 1)
         assert agg.runs == 1
         assert len(agg.per_run) == 1
-        assert agg.modal_k == agg.per_run[0].k_hat
-        assert agg.consensus_locations.locations == agg.per_run[0].locations
+        assert agg.modal_k == agg.per_run[0].estimated.k
+        assert agg.consensus_locations.locations == \
+            agg.per_run[0].estimated.locations
 
     def test_constant_series_aggregates_to_zero(self):
         cfg = DetectionConfig(h=100, epsilon=0.1,
@@ -573,3 +574,29 @@ class TestRecommendH:
         assert est.k == 3
         for e, t in zip(est.locations, ls.truth_f.locations):
             assert abs(e - t) <= 2 * cfg.h
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: resolve_lambda(
+            object(), sigma=1.0, epsilon=0.1, epsilon_eff=0.2, h=10, n=100),
+            TypeError, "unknown lambda policy", id="unknown_policy"),
+        pytest.param(lambda: detect(
+            TimeSeries(np.random.default_rng(0).normal(size=2000)),
+            DetectionConfig(h=400, epsilon=0.0, lambda_policy=RealDataLambda(),
+                            sigma=5e-324)),
+            LambdaResolutionFailure, "resolved lambda 0.0 is not positive",
+            id="lambda_underflows_to_zero"),
+        pytest.param(lambda: detect_repeated(
+            TimeSeries(np.zeros(100)),
+            DetectionConfig(h=10, epsilon=0.1,
+                            lambda_policy=ManualLambda(1.0)), runs=0),
+            ValueError, "runs must be >= 1", id="zero_runs"),
+        pytest.param(lambda: recommend_h(5000, 0.5, 1.0), ValueError,
+                     r"epsilon must lie in \[0, 0.5\)", id="epsilon_half"),
+        pytest.param(lambda: recommend_h(1, 0.1, 1.0), ValueError,
+                     "n must be >= 2", id="n_one"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -165,3 +165,15 @@ class TestScore:
         assert rep.hausdorff == 0.0
         assert rep.count_error == 0
         assert rep.covering == 1.0
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: covering(
+            ChangePointSet((5,), 10).to_partition(),
+            ChangePointSet((5,), 12).to_partition()),
+            ValueError, "same index set", id="covering_lengths_differ"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -446,3 +446,32 @@ class TestBatchMatchesScalar:
             assert one.interval == (out[1][sid], out[2][sid])
             assert one.kept_count == out[3][sid]
             assert one.degenerate == bad[sid]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: RumeParams(epsilon=0.5, delta=0.1), ValueError,
+                     "epsilon must lie", id="params_epsilon_half"),
+        pytest.param(lambda: RumeParams(epsilon=-0.1, delta=0.1), ValueError,
+                     "epsilon must lie", id="params_epsilon_negative"),
+        pytest.param(lambda: RumeParams(epsilon=0.1, delta=0.0), ValueError,
+                     "delta must lie", id="params_delta_zero"),
+        pytest.param(lambda: RumeParams(epsilon=0.1, delta=1.0), ValueError,
+                     "delta must lie", id="params_delta_one"),
+        pytest.param(lambda: effective_epsilon(0.1, 0.1, 0), ValueError,
+                     "h must be >= 1", id="effective_h_zero"),
+        pytest.param(lambda: effective_epsilon(0.1, 1.0, 10), ValueError,
+                     "delta must lie", id="effective_delta_one"),
+        pytest.param(lambda: effective_epsilon(0.1, 0.0, 10), ValueError,
+                     "delta must lie", id="effective_delta_zero"),
+        pytest.param(lambda: auto_delta(1, 10, 0.1), ValueError,
+                     "need n >= 2", id="auto_delta_n_one"),
+        pytest.param(lambda: rume(np.array([0.0, 1.0, np.nan, 2.0]),
+                                  RumeParams(epsilon=0.0, delta=0.5),
+                                  substream(0, 0)),
+                     ValueError, "window values must be finite",
+                     id="rume_nonfinite_window"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

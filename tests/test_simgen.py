@@ -60,6 +60,22 @@ class TestSpecValidation:
         with pytest.raises(SpecInvalid):
             AttackSpec(CorruptReal((1.0, 2.0), ()), 3, 0)
 
+    @pytest.mark.parametrize("variant", [
+        Sine, CauchyContam, lambda truth: CleanSteps(
+            means=(0.0,) * (len(truth) + 1), truth=truth)],
+        ids=["sine", "cauchy", "clean"])
+    @pytest.mark.parametrize("truth", [(50, 40), (50, 100)],
+                             ids=["out_of_order", "out_of_range"])
+    def test_truth_that_does_not_fit_is_spec_invalid(self, variant, truth):
+        with pytest.raises(SpecInvalid,
+                           match=rf"truth \({truth[0]}, {truth[1]}\) does "
+                                 "not fit n = 100"):
+            AttackSpec(variant(truth=truth), 100, 0)
+
+    def test_preset_truth_past_short_n_is_spec_invalid(self):
+        with pytest.raises(SpecInvalid, match="does not fit n = 3"):
+            build_preset("sine", n=3)
+
 
 class TestTruthLabels:
     def test_spurious_flat_truth_stepped_observation(self):
@@ -278,3 +294,42 @@ class TestPresets:
     def test_base_rejected_elsewhere(self):
         with pytest.raises(SpecInvalid):
             build_preset("hiding", base=(1.0, 2.0))
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1), 1, 0),
+                     SpecInvalid, "n must be an integer >= 2", id="n_one"),
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1), 100, -1),
+                     SpecInvalid, "seed must fit in uint64",
+                     id="negative_seed"),
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1, blocks=0),
+                                        100, 0),
+                     SpecInvalid, "blocks must be >= 1", id="zero_blocks"),
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1, blocks=3),
+                                        5, 0),
+                     SpecInvalid, "each half span needs at least one point",
+                     id="n_below_twice_blocks"),
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1, sigma=0.0),
+                                        100, 0),
+                     SpecInvalid, "sigma must be positive",
+                     id="spurious_sigma"),
+        pytest.param(lambda: AttackSpec(Sine(sigma=-1.0), 100, 0),
+                     SpecInvalid, "sigma must be positive", id="sine_sigma"),
+        pytest.param(lambda: AttackSpec(Sine(frequency=0.0), 100, 0),
+                     SpecInvalid, "frequency must be positive",
+                     id="sine_frequency"),
+        pytest.param(lambda: AttackSpec(CauchyContam(scale=0.0), 100, 0),
+                     SpecInvalid, "scale must be positive",
+                     id="cauchy_scale"),
+        pytest.param(lambda: AttackSpec(CleanSteps(means=(0.0,), sigma=0.0),
+                                        100, 0),
+                     SpecInvalid, "sigma must be positive",
+                     id="clean_sigma"),
+        pytest.param(lambda: empirical_mean_profile(
+            generate(AttackSpec(Hiding(epsilon=0.1), 100, 0)), reps=0),
+            ValueError, "reps must be >= 1", id="profile_zero_reps"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

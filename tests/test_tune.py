@@ -392,3 +392,35 @@ class TestSelectionBands:
             if eps <= 0.05:
                 hits += 1
         assert hits >= int(0.8 * self.TRIALS)
+
+
+class TestRejections:
+    SERIES = TimeSeries(np.arange(100.0))
+
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: tournament(
+            TestRejections.SERIES, TournamentConfig(), detection_h=1,
+            delta=0.05, rng=substream(0, 0)),
+            ValueError, "detection_h must be >= 2", id="detection_h_one"),
+        pytest.param(lambda: tournament(
+            TestRejections.SERIES, TournamentConfig(training_range=(0, 50)),
+            detection_h=10, delta=0.0, rng=substream(0, 0)),
+            ValueError, r"delta must lie in \(0, 1\)", id="delta_zero"),
+        pytest.param(lambda: tournament(
+            TestRejections.SERIES, TournamentConfig(training_range=(0, 50)),
+            detection_h=10, delta=1.0, rng=substream(0, 0)),
+            ValueError, r"delta must lie in \(0, 1\)", id="delta_one"),
+        # a 3-point slice drops its odd point; at delta 0.99 level 0 is
+        # feasible, so the size check is what refuses it
+        pytest.param(lambda: tournament(
+            TestRejections.SERIES,
+            TournamentConfig(grid=(0.0,), training_range=(0, 3)),
+            detection_h=2, delta=0.99, rng=substream(0, 0)),
+            ValueError, "training window must hold >= 4 values",
+            id="training_window_two"),
+        pytest.param(lambda: default_grid(1), ValueError,
+                     "grid size must be >= 2", id="grid_size_one"),
+    ])
+    def test_documented_rejection(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
