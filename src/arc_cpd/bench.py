@@ -10,9 +10,11 @@ repetitions of generate -> detect -> score for each requested method:
 
 Randomness is hierarchical: master seed -> cell index -> repetition ->
 (0 = generator, 1 + method index = that method: 0 = its tournament,
-1 = its detector), all derived in _rep_seeds. Rows therefore
-never depend on execution order or worker process count, and run_grid
-output is byte-reproducible from the master seed.
+1 = its detector), all derived in _rep_seeds. The unit of work is one
+(cell, method) row, which regenerates its cell's series per repetition
+from the same seeds. Rows therefore never depend on execution order or
+worker process count, and run_grid output is byte-reproducible from the
+master seed.
 
 Scoring is always against the clean segment truth. Infinite Hausdorff values
 (empty versus nonempty estimate) are excluded from location-error aggregates
@@ -296,10 +298,13 @@ def _aggregate(grid: ExperimentGrid, cell: GridCell, method: str,
     )
 
 
-def _run_cell(grid: ExperimentGrid, cell: GridCell) -> List[BenchRow]:
+def _run_row(grid: ExperimentGrid,
+             job: Tuple[GridCell, int]) -> BenchRow:
+    """One (cell, method index) row over the grid's repetitions."""
+    cell, mi = job
+    method = grid.methods[mi]
     cell_seed = substream(grid.master_seed, cell.index).child_seed()
-    acc = {m: ([], []) for m in grid.methods}
-    dead: Dict[str, str] = {}
+    k_hats, scaled = [], []
     truth_k = adv_k = 0
 
     for r in range(1, grid.reps + 1):
@@ -308,32 +313,26 @@ def _run_cell(grid: ExperimentGrid, cell: GridCell) -> List[BenchRow]:
         truth = ls.truth_f
         truth_k = truth.k
         adv_k = (2 * cell.blocks - 1) if cell.blocks else ls.truth_ey.k
-        for method, seeds in zip(grid.methods, method_seeds):
-            if method in dead:
-                continue
-            try:
-                est = _run_method(method, ls, grid, cell, *seeds)
-            except ArcCpdError as err:
-                dead[method] = str(err)
-                continue
-            k_hats, scaled = acc[method]
-            k_hats.append(est.k)
-            scaled.append(hausdorff(est, truth) / grid.n)
+        try:
+            est = _run_method(method, ls, grid, cell, *method_seeds[mi])
+        except ArcCpdError as err:
+            return _aggregate(grid, cell, method, k_hats, scaled, truth_k,
+                              adv_k, skipped=str(err))
+        k_hats.append(est.k)
+        scaled.append(hausdorff(est, truth) / grid.n)
 
-    return [_aggregate(grid, cell, method, *acc[method], truth_k, adv_k,
-                       skipped=dead.get(method))
-            for method in grid.methods]
+    return _aggregate(grid, cell, method, k_hats, scaled, truth_k, adv_k)
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> List[BenchRow]:
-    """All rows of a grid in canonical cell order, one per (cell, method).
+    """All rows of a grid in canonical order: cells, then methods in grid
+    order, one per (cell, method).
 
-    threads caps the worker processes that run the cells; rows do not
-    depend on it.
+    Each row is one job for up to `threads` worker processes; rows do not
+    depend on the thread count.
     """
-    nested = _fan_out(functools.partial(_run_cell, grid), grid.cells(),
-                      threads)
-    return [row for rows in nested for row in rows]
+    jobs = list(product(grid.cells(), range(len(grid.methods))))
+    return _fan_out(functools.partial(_run_row, grid), jobs, threads)
 
 
 def _json_safe(x):

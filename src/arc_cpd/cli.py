@@ -199,6 +199,8 @@ def _tune(series: TimeSeries, args, sigma: float,
 def cmd_detect(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
+    if args.dump_curve and args.runs > 1:
+        raise ValueError("--dump-curve needs --runs 1")
     series = read_series(args.input)
     n = series.n
     h = args.h
@@ -239,8 +241,6 @@ def cmd_detect(args) -> int:
     report = reports[0]
 
     if args.dump_curve:
-        if report.scan_curve is None:
-            raise ValueError("--dump-curve needs --runs 1")
         lines = ["index,value"]
         lines += [f"{j},{format(v, '.17g')}"
                   for j, v in sorted(report.scan_curve.items())]

@@ -252,6 +252,29 @@ class TestRunGrid:
         assert math.isfinite(row.mean_count_error)
         assert sum(row.khat_histogram.values()) == 2
 
+    def test_rows_independent_of_fan_out(self):
+        # each (cell, method) row is one job; a skipped cell (4h > n) next
+        # to a live one gives the same rows at any worker count
+        grid = ExperimentGrid(preset="spurious", n=400, epsilons=(0.1,),
+                              blocks=(1,), sigmas=(1.0,), windows=(80, 340),
+                              reps=2, methods=("arc", "aarc", "baseline"),
+                              master_seed=0)
+        rows = run_grid(grid)
+        assert [r.skipped is None for r in rows] == [True] * 3 + [False] * 3
+        assert [(r.window, r.method) for r in rows] == [
+            (w, m) for w in (80, 340) for m in ("arc", "aarc", "baseline")]
+        assert len({rows_to_json(run_grid(grid, threads=k))
+                    for k in (1, 2, 3)}) == 1
+
+    def test_one_cell_fans_out_by_method(self):
+        grid = ExperimentGrid(preset="spurious", n=1200, epsilons=(0.1,),
+                              blocks=(1,), sigmas=(1.0,), windows=(80,),
+                              reps=2, methods=("arc", "aarc", "baseline"),
+                              master_seed=4)
+        one = run_grid(grid, threads=1)
+        assert all(r.skipped is None for r in one)
+        assert rows_to_json(run_grid(grid, threads=2)) == rows_to_json(one)
+
 
 class TestSerialization:
     def test_header_frozen(self):

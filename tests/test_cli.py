@@ -218,6 +218,24 @@ class TestDetect:
                     "--epsilon", "0.1", "--sigma", "1", "--runs", "3",
                     "--dump-curve", str(tmp_path / "c.csv")]) == 2
 
+    def test_dump_curve_refused_before_any_run(self, gaussian_file, tmp_path,
+                                               monkeypatch, capsys):
+        import arc_cpd.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("detection ran before the refusal")
+
+        monkeypatch.setattr(cli, "detect_repeated", never)
+        monkeypatch.setattr(cli, "detect", never)
+        # epsilon 0.3 at h = 30 is infeasible (exit 3); the argument error
+        # wins
+        assert run(["detect", "--input", gaussian_file, "--h", "30",
+                    "--epsilon", "0.3", "--sigma", "1", "--runs", "20",
+                    "--dump-curve", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --dump-curve needs --runs 1\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_repeated_runs_report_modal(self, tmp_path):
         ls = generate(AttackSpec(Hiding(epsilon=0.1, blocks=2, kappa=1.0),
                                  5000, seed=3))
