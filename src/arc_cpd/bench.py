@@ -124,6 +124,18 @@ class ExperimentGrid:
     explicit_cells: Optional[Tuple[Tuple, ...]] = None
 
     def __post_init__(self):
+        for name in ("epsilons", "blocks", "kappas", "sigmas", "windows",
+                     "methods", "explicit_cells"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not hasattr(value, "__iter__") and (
+                    value is not None or name != "explicit_cells"):
+                raise ValueError(f"{name} must be a list, not {value!r}")
+        ints = [(name, getattr(self, name)) for name in
+                ("n", "reps", "master_seed", "training_points")]
+        # an integer is what operator.index accepts (__index__), but no bool
+        for name, value in ints + [("windows entry", w) for w in self.windows]:
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not self.methods:

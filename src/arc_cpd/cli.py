@@ -172,7 +172,11 @@ def _load_truth(path: str, n: int) -> ChangePointSet:
             raise ValueError(f"{path}: no truth_F or change_points field")
     else:
         locs = data
-    return ChangePointSet(tuple(int(x) for x in locs), n)
+    # JSON integers only: int() would floor 600.7 and read true as 1
+    if not isinstance(locs, list) or any(type(x) is not int for x in locs):
+        raise ValueError(f"{path}: change points must be a list of JSON "
+                         f"integers, not {locs!r}")
+    return ChangePointSet(tuple(locs), n)
 
 
 def _sigma(args, series: TimeSeries) -> float:

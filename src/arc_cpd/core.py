@@ -277,7 +277,8 @@ class RngStream:
 
         The scan and the tournament do not call this per window: they take
         each stream's first permutation from `_permutations`, which seeds
-        all their streams in one batch and gives the same bits.
+        them in one batch and shuffles with numpy's legacy (NEP 19-frozen)
+        `RandomState.shuffle`: the same bits.
         """
         return np.random.Generator(np.random.PCG64(self._seed_seq()))
 
@@ -369,23 +370,25 @@ def _permutations(seed: int, ids, width: int) -> np.ndarray:
 
     The seeding runs in one batch (`_spawn_states`, then PCG64's
     `state = (inc + s) * MULT + inc` with `inc = 2 t + 1` for the state
-    words s, t), and each row sets that state on one generator made per
-    call. numpy's `permutation` of an int shuffles a fresh `arange`, so
-    each row is filled with `arange(width)` and shuffled in place: the
-    same bits, without a fresh array and a copy per row.
+    words s, t), and each row sets that state on one PCG64 made per call.
+    Each row is filled with `arange(width)` and shuffled in place by
+    numpy's legacy `RandomState.shuffle`, which NEP 19 freezes: it draws
+    the bounded integers of `Generator.permutation` from the same bits,
+    and its typed 1-D path skips `Generator.shuffle`'s axis handling.
     """
     bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    state = {"bit_generator": "PCG64", "state": None,
+    shuffle = np.random.RandomState(bit_gen).shuffle
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner,
              "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(ids), width), dtype=np.int64)
     out[:] = np.arange(width)
     for r, (s0, s1, t0, t1) in enumerate(_spawn_states(seed, ids).tolist()):
         inc = ((((t0 << 64) | t1) << 1) | 1) & _M128
-        start = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
-        state["state"] = {"state": start, "inc": inc}
+        inner["state"] = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
+        inner["inc"] = inc
         bit_gen.state = state
-        gen.shuffle(out[r])
+        shuffle(out[r])
     return out
 
 

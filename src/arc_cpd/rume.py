@@ -6,10 +6,10 @@ contamination. Given a window of 2h values and a failure level delta in
 
 1. Sort the window and randomly split it into halves Z and Z' of size h
    (a seeded index shuffle; the first h shuffled positions form Z). The
-   shuffle is numpy's `shuffle` of the positions 0..2h-1 from the
-   window's stream, which gives the bits of the stream's first
-   permutation of 2h; a batch of windows seeds all its streams at once
-   (`core._permutations`).
+   shuffle is numpy's legacy `RandomState.shuffle` of the positions
+   0..2h-1 on the window's PCG64 stream, which NEP 19 freezes and which
+   gives the bits of the stream's first `Generator.permutation` of 2h; a
+   batch of windows seeds all its streams at once (`core._permutations`).
 2. Inflate the contamination rate: eps_eff = max(eps, log(1/delta) / h).
 3. Compute the trimming span
 

@@ -164,6 +164,14 @@ class TestExperimentGrid:
         assert (cells[0].epsilon, cells[0].sigma) == (0.2, 5.0)
         assert (cells[1].blocks, cells[1].window) == (2, 80)
 
+    def test_lists_and_integer_types_accepted(self):
+        # Python lists and numpy integers pass the type checks
+        grid = ExperimentGrid(preset="spurious", n=np.int64(1000),
+                              epsilons=[0.1], windows=[100, np.int32(200)],
+                              reps=np.int32(2), methods=["arc", "baseline"],
+                              master_seed=np.uint64(7))
+        assert [c.window for c in grid.cells()] == [100, 200]
+
 
 class TestRunGrid:
     def test_reproducible_and_thread_invariant(self):

@@ -298,6 +298,23 @@ class TestDetect:
         err = capsys.readouterr().err
         assert f"{truth}: no truth_F or change_points field" in err
 
+    @pytest.mark.parametrize("locations", [[400.7], [True], ["400"]],
+                             ids=["float", "bool", "string"])
+    def test_truth_entry_not_an_integer_exits_2(self, locations,
+                                                gaussian_file, tmp_path,
+                                                capsys):
+        # int() had floored 400.7, read true as 1 and parsed "400"
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"change_points": locations}))
+        out = tmp_path / "rep.json"
+        assert run(["detect", "--input", gaussian_file, "--h", "100",
+                    "--epsilon", "0.1", "--sigma", "1", "--truth",
+                    str(truth), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: change points must be a list of JSON integers" \
+            in err
+        assert not out.exists()
+
     def test_auto_epsilon_reports_tuning(self, tmp_path):
         g = np.random.default_rng(1000)
         v = g.normal(0.0, 1.0, 1000)
@@ -436,6 +453,29 @@ class TestBench:
         grid_path.write_text(json.dumps({"preset": "spurious", "n": 100,
                                          "color": "red"}))
         assert run(["bench", "--grid", str(grid_path)]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("reps", "3", "reps must be an integer, not '3'"),
+        ("reps", 1.5, "reps must be an integer, not 1.5"),
+        ("reps", True, "reps must be an integer, not True"),
+        ("n", 1200.5, "n must be an integer, not 1200.5"),
+        ("master_seed", None, "master_seed must be an integer, not None"),
+        ("training_points", "300", "training_points must be an integer"),
+        ("windows", 80, "windows must be a list, not 80"),
+        ("windows", [80.0], "windows entry must be an integer, not 80.0"),
+        ("methods", "arc", "methods must be a list, not 'arc'"),
+        ("epsilons", 0.1, "epsilons must be a list, not 0.1"),
+    ])
+    def test_wrong_typed_grid_field_exits_2(self, field, value, message,
+                                            tmp_path, capsys):
+        # these raised a TypeError traceback (exit 1) or ran as coerced
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(dict(self.GRID, **{field: value})))
+        out = tmp_path / "rows.csv"
+        assert run(["bench", "--grid", str(grid_path), "--out",
+                    str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phase_table_format(self, tmp_path):
         out = tmp_path / "phase.csv"

@@ -188,6 +188,33 @@ class TestBatchedStreams:
                                   seq.generate_state(4, np.uint64))
             want = substream(seed, stream_id).generator().permutation(width)
             assert np.array_equal(perms[r], want)
+            # the legacy stream, which NEP 19 freezes, on the same PCG64
+            frozen = np.random.RandomState(np.random.PCG64(seq))
+            assert np.array_equal(perms[r], frozen.permutation(width))
+
+    def test_golden_rows(self):
+        # literal bits of each seeding step and of the split at seed 0 and
+        # the extreme ids; a numpy release that moves one fails its line
+        ids = [0, 2**64 - 1]
+        spawned = [[0x784DFB2CDFF7B411, 0xCA65717F56CF8F57,
+                    0x66BA395B9BB52223, 0x6F9B32110FE1E0A9],
+                   [0x5012DB0211239C5D, 0xDE27AA6A2D4FA613,
+                    0x4F1622F68EEA52E4, 0x0091C47CDBF0F13C]]
+        pcg = [(0x9DC7E5C5548209EFE5F1B57E8273DB25,
+                0xCD7472B7376A4446DF3664221FC3C153),
+               (0x110FE21A87D0FA3BB4C6131BDB023835,
+                0x9E2C45ED1DD4A5C8012388F9B7E1E279)]
+        for r, stream_id in enumerate(ids):
+            seq = np.random.SeedSequence(0, spawn_key=(stream_id,))
+            assert seq.generate_state(4, np.uint64).tolist() == spawned[r], \
+                "SeedSequence spawn hashing moved"
+            state = np.random.PCG64(seq).state["state"]
+            assert (state["state"], state["inc"]) == pcg[r], \
+                "PCG64 seeding from SeedSequence moved"
+        assert _spawn_states(0, ids).tolist() == spawned
+        assert _permutations(0, ids, 8).tolist() == [
+            [5, 3, 0, 1, 2, 4, 7, 6], [3, 0, 2, 5, 4, 7, 1, 6]], \
+            "the shuffle's bounded draws moved"
 
     def test_concurrent_detects_reproduce_serial_reports(self):
         g = np.random.default_rng(3)
