@@ -28,7 +28,6 @@ from .core import (
     TimeSeries,
     mad_sigma,
     substream,
-    validate_series,
 )
 from .detector import (
     AggregateReport,
@@ -44,7 +43,6 @@ from .detector import (
     local_maximizers,
     recommend_h,
     resolve_lambda,
-    scan_statistic,
 )
 from .metrics import MetricReport, count_error, covering, hausdorff, score
 from .rume import (
@@ -52,10 +50,7 @@ from .rume import (
     RumeParams,
     auto_delta,
     effective_epsilon,
-    feasibility_value,
-    is_feasible,
     rume,
-    shorth_interval,
     trimming_span,
 )
 from .simgen import (
@@ -71,8 +66,6 @@ from .simgen import (
     Spurious,
     atom_profile,
     build_preset,
-    empirical_mean_profile,
-    expected_value_profile,
     generate,
 )
 from .tune import (

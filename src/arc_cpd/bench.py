@@ -28,6 +28,7 @@ import io
 import json
 import math
 import multiprocessing
+import numbers
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -99,13 +100,39 @@ class GridCell:
     window: int
 
 
+def _is_int(value) -> bool:
+    # an integer is what operator.index accepts (__index__), but no bool
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+# each cell entry in order: its GridCell field, the grid list a product
+# cell draws it from, its check and what the check asks for
+_CELL_FIELDS = (
+    ("epsilon", "epsilons", lambda v: v is None or _is_real(v),
+     "a real number or null"),
+    ("blocks", "blocks", lambda v: v is None or _is_int(v),
+     "an integer or null"),
+    ("kappa", "kappas", lambda v: v is None or _is_real(v),
+     "a real number or null"),
+    ("sigma", "sigmas", lambda v: v is None or _is_real(v),
+     "a real number or null"),
+    ("window", "windows", _is_int, "an integer"),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentGrid:
     """Preset name, parameter value lists, repetition count, and methods.
 
     windows holds nominal full widths (2h); odd values are floored when
     halved. explicit_cells, when given, replaces the cartesian product:
-    a tuple of (epsilon, blocks, kappa, sigma, window) tuples.
+    a tuple of (epsilon, blocks, kappa, sigma, window) tuples. In every
+    cell epsilon, kappa and sigma are real numbers or None, blocks is an
+    integer or None and window an integer; a bool is none of these.
     """
 
     preset: str
@@ -130,11 +157,9 @@ class ExperimentGrid:
             if isinstance(value, str) or not hasattr(value, "__iter__") and (
                     value is not None or name != "explicit_cells"):
                 raise ValueError(f"{name} must be a list, not {value!r}")
-        ints = [(name, getattr(self, name)) for name in
-                ("n", "reps", "master_seed", "training_points")]
-        # an integer is what operator.index accepts (__index__), but no bool
-        for name, value in ints + [("windows entry", w) for w in self.windows]:
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        for name in ("n", "reps", "master_seed", "training_points"):
+            value = getattr(self, name)
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -152,16 +177,28 @@ class ExperimentGrid:
                     raise ValueError(f"{name} must be nonempty")
         elif not self.explicit_cells:
             raise ValueError("explicit_cells must be nonempty when given")
+        explicit = self.explicit_cells is not None
+        for i, combo in enumerate(self._combos()):
+            if explicit and (isinstance(combo, str) or
+                             not hasattr(combo, "__len__") or len(combo) != 5):
+                raise ValueError(
+                    f"explicit_cells[{i}] must have 5 entries (epsilon, "
+                    f"blocks, kappa, sigma, window), not {combo!r}")
+            for (field, values, ok, kind), value in zip(_CELL_FIELDS, combo):
+                if not ok(value):
+                    name = (f"explicit_cells[{i}] {field}" if explicit
+                            else f"{values} entry")
+                    raise ValueError(f"{name} must be {kind}, not {value!r}")
+
+    def _combos(self) -> Tuple[Tuple, ...]:
+        if self.explicit_cells is not None:
+            return self.explicit_cells
+        return tuple(product(self.epsilons, self.blocks, self.kappas,
+                             self.sigmas, self.windows))
 
     def cells(self) -> List[GridCell]:
         """Cells in canonical order; indices seed the per-cell streams."""
-        if self.explicit_cells is not None:
-            combos = self.explicit_cells
-        else:
-            combos = tuple(product(self.epsilons, self.blocks, self.kappas,
-                                   self.sigmas, self.windows))
-        return [GridCell(i, e, b, k, s, w)
-                for i, (e, b, k, s, w) in enumerate(combos)]
+        return [GridCell(i, *combo) for i, combo in enumerate(self._combos())]
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,6 @@ __all__ = [
     "DetectionConfig",
     "RunReport",
     "RngStream",
-    "validate_series",
     "substream",
     "mad_sigma",
     "MAD_TO_SIGMA",
@@ -240,12 +239,6 @@ class TimeSeries:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-def validate_series(values: Sequence[float], name: str = "series",
-                    annotation: Optional[ChangePointSet] = None) -> TimeSeries:
-    """Build a TimeSeries, rejecting empty input and non-finite values."""
-    return TimeSeries(np.asarray(values, dtype=np.float64), name, annotation)
 
 
 @dataclass(frozen=True)

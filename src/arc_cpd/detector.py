@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_C_LAMBDA",
     "resolve_lambda",
     "AggregateReport",
-    "scan_statistic",
     "local_maximizers",
     "detect",
     "baseline_scan",
@@ -109,12 +108,14 @@ LambdaPolicy = Union[ManualLambda, TheoreticalLambda, SimulationDefaultLambda,
                      RealDataLambda, RealDataHeavyTailLambda]
 
 
-def resolve_lambda(policy: LambdaPolicy, *, sigma: float, epsilon: float,
-                   epsilon_eff: float, h: int, n: int) -> float:
+def resolve_lambda(policy: LambdaPolicy, *, sigma: Optional[float],
+                   epsilon: float, epsilon_eff: float, h: int,
+                   n: int) -> float:
     """Concrete threshold value for a policy in a given run context.
 
-    The epsilon terms scale sigma * epsilon by 8, which is exact, so a
-    sigma past float max / 8 still gives a finite threshold.
+    A manual value reads no scale, so its sigma may be None. The epsilon
+    terms scale sigma * epsilon by 8, which is exact, so a sigma past
+    float max / 8 still gives a finite threshold.
     """
     if isinstance(policy, ManualLambda):
         return policy.value
@@ -193,33 +194,6 @@ def _scan_arrays(series: TimeSeries,
     return np.abs(right_est - left_est), degenerate
 
 
-def _check_length(series: TimeSeries, h: int) -> None:
-    if series.n < 4 * h:
-        raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {series.n}")
-
-
-def _finite_scan(scan: Callable[[], Tuple[np.ndarray, int]],
-                 h: int) -> Tuple[np.ndarray, int]:
-    """scan() with numpy's float warnings silenced; raises NonFiniteScan at
-    the first scan index whose value is NaN or infinite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        curve, degenerate = scan()
-    bad = np.flatnonzero(~np.isfinite(curve))
-    if bad.size:
-        raise NonFiniteScan(2 * h + int(bad[0]))
-    return curve, degenerate
-
-
-def scan_statistic(series: TimeSeries, config: DetectionConfig) -> Dict[int, float]:
-    """Map each scan index j in {2h, ..., n-2h} to the statistic value.
-
-    Raises NonFiniteScan rather than return a NaN or infinite value.
-    """
-    _check_length(series, config.h)
-    curve, _ = _finite_scan(lambda: _scan_arrays(series, config), config.h)
-    return {2 * config.h + i: float(v) for i, v in enumerate(curve)}
-
-
 def _local_max_mask(values: np.ndarray, radius: int) -> np.ndarray:
     """Boolean mask of local maximizers with leftmost-of-tied-run rule.
 
@@ -270,25 +244,28 @@ def _resolve_sigma(series: TimeSeries, config: DetectionConfig) -> float:
             f"automatic scale estimate failed: {err}") from err
 
 
-def _scan_report(series: TimeSeries, config: DetectionConfig,
-                 threshold: Callable[[float], float],
+def _scan_report(series: TimeSeries, config: DetectionConfig, lam: float,
                  scan: Callable[[], Tuple[np.ndarray, int]],
                  epsilon_effective: float) -> RunReport:
     """The steps every scan shares around its statistic.
 
-    threshold maps the noise scale to lambda; scan() returns the curve over
-    j = 2h..n-2h and its degenerate window count, and a NaN or infinite
-    value in it raises NonFiniteScan. Detections are the local maximizers
-    strictly above lambda.
+    lam is the resolved threshold, checked before the series length, and
+    scan() returns the curve over j = 2h..n-2h and its degenerate window
+    count. A NaN or infinite curve value raises NonFiniteScan at its first
+    scan index. Detections are the local maximizers strictly above lambda.
     """
     h = config.h
-    lam = threshold(_resolve_sigma(series, config))
     if lam <= 0:
         raise LambdaResolutionFailure(f"resolved lambda {lam} is not positive")
     if not math.isfinite(lam):
         raise LambdaResolutionFailure(f"resolved lambda {lam} is not finite")
-    _check_length(series, h)
-    curve, degenerate = _finite_scan(scan, h)
+    if series.n < 4 * h:
+        raise SeriesTooShort(f"need n >= 4h = {4 * h}, got n = {series.n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve, degenerate = scan()
+    bad = np.flatnonzero(~np.isfinite(curve))
+    if bad.size:
+        raise NonFiniteScan(2 * h + int(bad[0]))
     radius = config.maximizer_radius or 4 * h
     detected = 2 * h + np.flatnonzero(_local_max_mask(curve, radius) &
                                       (curve > lam))
@@ -306,12 +283,14 @@ def detect(series: TimeSeries, config: DetectionConfig) -> RunReport:
     """One full detection run: scan, find maximizers, threshold strictly."""
     n, h = series.n, config.h
     eps_eff = effective_epsilon(config.epsilon, _resolve_delta(config, n), h)
-    return _scan_report(
-        series, config,
-        lambda sigma: resolve_lambda(config.lambda_policy, sigma=sigma,
-                                     epsilon=config.epsilon,
-                                     epsilon_eff=eps_eff, h=h, n=n),
-        lambda: _scan_arrays(series, config), eps_eff)
+    policy = config.lambda_policy
+    # the scale is estimated only for a policy that reads it
+    sigma = (None if isinstance(policy, ManualLambda)
+             else _resolve_sigma(series, config))
+    lam = resolve_lambda(policy, sigma=sigma, epsilon=config.epsilon,
+                         epsilon_eff=eps_eff, h=h, n=n)
+    return _scan_report(series, config, lam,
+                        lambda: _scan_arrays(series, config), eps_eff)
 
 
 def baseline_scan(series: TimeSeries, config: DetectionConfig) -> RunReport:
@@ -329,9 +308,8 @@ def baseline_scan(series: TimeSeries, config: DetectionConfig) -> RunReport:
         right = (sums[js + 2 * h] - sums[js]) / (2 * h)
         return np.abs(right - left), 0
 
-    return _scan_report(series, config,
-                        lambda sigma: 3.0 * sigma * math.sqrt(math.log(n) / h),
-                        scan, 0.0)
+    lam = 3.0 * _resolve_sigma(series, config) * math.sqrt(math.log(n) / h)
+    return _scan_report(series, config, lam, scan, 0.0)
 
 
 def detect_repeated(series: TimeSeries, config: DetectionConfig,

@@ -35,8 +35,8 @@ could overflow a sum of 2h terms runs in one power-of-two unit
 there, subnormal values lose low bits. A kept mean that rounds outside
 its kept interval is clipped into it. One helper, `_feasibility`,
 evaluates steps (2) and (3) elementwise over epsilon: the tournament
-calls it on the whole grid, and `effective_epsilon`, `feasibility_value`,
-`is_feasible` and `trimming_span` are one-level calls.
+calls it on the whole grid, and `effective_epsilon`, `trimming_span` and
+`auto_delta` are one-level calls.
 
 Splitting the window keeps the interval selection independent of the points
 being averaged, which is what drives the estimator's error bound of order
@@ -57,11 +57,8 @@ __all__ = [
     "RumeParams",
     "RumeOutcome",
     "effective_epsilon",
-    "feasibility_value",
-    "is_feasible",
     "trimming_span",
     "auto_delta",
-    "shorth_interval",
     "rume",
 ]
 
@@ -120,15 +117,6 @@ def effective_epsilon(epsilon: float, delta: float, h: int) -> float:
     return float(_feasibility(h, epsilon, delta)[0])
 
 
-def feasibility_value(h: int, epsilon: float, delta: float) -> float:
-    """Left-hand side of the feasibility condition; must be < 1/2."""
-    return float(_feasibility(h, epsilon, delta)[1])
-
-
-def is_feasible(h: int, epsilon: float, delta: float) -> bool:
-    return feasibility_value(h, epsilon, delta) < 0.5
-
-
 def trimming_span(h: int, epsilon: float, delta: float) -> int:
     """The span D of step (3); raises InfeasibleWindow outside [1, h-1]."""
     eps_eff, value, span = _feasibility(h, epsilon, delta)
@@ -169,13 +157,13 @@ def auto_delta(n: int, h: int, epsilon: float) -> float:
     """
     if n < 2 or h < 2:
         raise ValueError("need n >= 2 and h >= 2")
-    if is_feasible(h, epsilon, 1.0 / n):
+    eps_eff, value, _ = _feasibility(h, epsilon, 1.0 / n)
+    if value < 0.5:
         return 1.0 / n
     x_max = _max_log_ratio(epsilon)
     if x_max <= 0.0:
-        raise InfeasibleWindow(h, epsilon, 1.0 / n,
-                               effective_epsilon(epsilon, 1.0 / n, h),
-                               feasibility_value(h, epsilon, 1.0 / n), 0)
+        raise InfeasibleWindow(h, epsilon, 1.0 / n, float(eps_eff),
+                               float(value), 0)
     return math.exp(-_SLACK * h * x_max)
 
 
@@ -252,23 +240,6 @@ def _rume_batch(windows: np.ndarray, stream_ids: Sequence[int], seed: int,
     mids = 0.5 * (windows[:, h - 1] * unit + windows[:, h] * unit)
     estimates = np.where(kept == 0, mids, means) / unit
     return estimates, low / unit, high / unit, kept
-
-
-def shorth_interval(sorted_half: Sequence[float], d: int):
-    """Shortest interval spanning d order-statistic steps of a sorted sample.
-
-    Returns ((low, high), j_star) where j_star is the 1-based index of the
-    left endpoint among the order statistics; the smallest j wins exact ties.
-    Widths are compared in the sample's unit (`core._unit` over 2 terms), so
-    none overflows.
-    """
-    z = np.asarray(sorted_half, dtype=np.float64)
-    h = z.size
-    if not (1 <= d <= h - 1):
-        raise ValueError("need 1 <= d <= h - 1")
-    scaled = z * _unit(z[0], z[-1], 2)
-    j0 = int(_shortest(scaled[None, :], np.asarray([d]))[0])
-    return (float(z[j0]), float(z[j0 + d])), j0 + 1
 
 
 def rume(window: Sequence[float], params: RumeParams, rng: RngStream) -> RumeOutcome:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,9 +45,7 @@ __all__ = [
     "AttackSpec",
     "LabeledSeries",
     "generate",
-    "expected_value_profile",
     "atom_profile",
-    "empirical_mean_profile",
     "PRESET_NAMES",
     "build_preset",
 ]
@@ -284,27 +282,6 @@ def _drift(v: Sine, n: int) -> np.ndarray:
     return v.amplitude * np.sin(v.frequency * math.pi * t / n)
 
 
-def expected_value_profile(spec: AttackSpec) -> np.ndarray:
-    """Analytic E[Y_t] per position, without sampling:
-    (1 - eps) * clean mean + eps * contamination mean.
-
-    Raises SpecInvalid for variants whose observation mean does not exist
-    (Cauchy contamination) or is not a distributional quantity (real-data
-    corruption).
-    """
-    v = spec.variant
-    if isinstance(v, CleanSteps):
-        return _clean_profile(spec)[0]
-    if isinstance(v, (Spurious, Hiding)):
-        contam = atom_profile(spec)
-    elif isinstance(v, Sine):
-        contam = _drift(v, spec.n)
-    else:
-        raise SpecInvalid(
-            f"{type(v).__name__} has no finite observation mean profile")
-    return (1.0 - v.epsilon) * _clean_profile(spec)[0] + v.epsilon * contam
-
-
 def atom_profile(spec: AttackSpec) -> np.ndarray:
     """Deterministic contamination value per position (atom variants only)."""
     v, n = spec.variant, spec.n
@@ -398,21 +375,6 @@ def generate(spec: AttackSpec) -> LabeledSeries:
     truth_f, truth_ey = _truths(spec)
     return LabeledSeries(TimeSeries(values, name=name), truth_f, truth_ey,
                          mask, spec)
-
-
-def empirical_mean_profile(ls: LabeledSeries, reps: int) -> np.ndarray:
-    """Pointwise average of `reps` fresh regenerations of ls.spec.
-
-    Replicate r draws its seed from substream(spec.seed, r), so profiles
-    are reproducible and replicates independent.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    total = np.zeros(ls.spec.n, dtype=np.float64)
-    for r in range(1, reps + 1):
-        seed_r = substream(ls.spec.seed, r).child_seed()
-        total += generate(replace(ls.spec, seed=seed_r)).series.values
-    return total / reps
 
 
 PRESET_NAMES = ("spurious", "hiding", "sine", "cauchy", "clean",

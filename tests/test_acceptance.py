@@ -15,10 +15,10 @@ import pytest
 from scipy.optimize import isotonic_regression
 
 from arc_cpd.bench import ExperimentGrid, phase_sweep, rows_to_csv, run_grid
-from arc_cpd.core import ChangePointSet, DetectionConfig, substream
+from arc_cpd.core import ChangePointSet, DetectionConfig, _unit, substream
 from arc_cpd.detector import TheoreticalLambda, detect, local_maximizers
 from arc_cpd.metrics import covering, hausdorff
-from arc_cpd.rume import RumeParams, effective_epsilon, rume, shorth_interval
+from arc_cpd.rume import RumeParams, _shortest, effective_epsilon, rume
 from arc_cpd.simgen import AttackSpec, CleanSteps, Hiding, generate
 
 
@@ -258,7 +258,11 @@ def test_oracle_equivalence():
         h = int(g.integers(3, 65))
         d = int(g.integers(1, h))
         z = np.sort(g.standard_normal(h))
-        assert shorth_interval(z, d) == _brute_shorth(z, d)
+        # the estimator's kernel on one row in its unit
+        row = z[None, :] * _unit(z[0], z[-1], 2)
+        j0 = int(_shortest(row, np.asarray([d]))[0])
+        assert ((float(z[j0]), float(z[j0 + d])), j0 + 1) == \
+            _brute_shorth(z, d)
 
     g = substream(7002, 0).generator()
     for _ in range(cases):

@@ -465,6 +465,28 @@ class TestBench:
         ("windows", [80.0], "windows entry must be an integer, not 80.0"),
         ("methods", "arc", "methods must be a list, not 'arc'"),
         ("epsilons", 0.1, "epsilons must be a list, not 0.1"),
+        ("explicit_cells", [[0.1, 1, None, 1.0, 80.5]],
+         "explicit_cells[0] window must be an integer, not 80.5"),
+        ("explicit_cells", [[0.1, 1, None, 1.0, "80"]],
+         "explicit_cells[0] window must be an integer, not '80'"),
+        ("explicit_cells", [[0.1, True, None, 1.0, 80]],
+         "explicit_cells[0] blocks must be an integer or null, not True"),
+        ("explicit_cells", [["x", 1, None, 1.0, 80]],
+         "explicit_cells[0] epsilon must be a real number or null, not 'x'"),
+        ("explicit_cells", [[0.1, 1, False, 1.0, 80]],
+         "explicit_cells[0] kappa must be a real number or null, not False"),
+        ("explicit_cells", [[0.1, 1, None, 1.0, 80], [0.1, 1, None, 1.0]],
+         "explicit_cells[1] must have 5 entries"),
+        ("explicit_cells", [[0.1, 1, None, 1.0, 80, 3]],
+         "explicit_cells[0] must have 5 entries"),
+        ("blocks", [True], "blocks entry must be an integer or null, not True"),
+        ("blocks", [1.5], "blocks entry must be an integer or null, not 1.5"),
+        ("epsilons", ["x"],
+         "epsilons entry must be a real number or null, not 'x'"),
+        ("kappas", ["k"],
+         "kappas entry must be a real number or null, not 'k'"),
+        ("sigmas", [True],
+         "sigmas entry must be a real number or null, not True"),
     ])
     def test_wrong_typed_grid_field_exits_2(self, field, value, message,
                                             tmp_path, capsys):

@@ -32,29 +32,28 @@ from arc_cpd import (
     detect,
     mad_sigma,
     substream,
-    validate_series,
 )
 from arc_cpd.core import _permutations, _spawn_states
 
 
 class TestValidateSeries:
     def test_well_formed(self):
-        ts = validate_series([1.0, 2.0, 3.0])
+        ts = TimeSeries([1.0, 2.0, 3.0])
         assert ts.n == 3
         assert ts.values.dtype == np.float64
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
-            validate_series([])
+            TimeSeries([])
 
     def test_nan_position_is_one_based(self):
         with pytest.raises(NonFiniteValue) as exc:
-            validate_series([1.0, float("nan")])
+            TimeSeries([1.0, float("nan")])
         assert exc.value.index == 2
 
     def test_inf_rejected(self):
         with pytest.raises(NonFiniteValue) as exc:
-            validate_series([math.inf, 0.0])
+            TimeSeries([math.inf, 0.0])
         assert exc.value.index == 1
 
     def test_two_dimensional_rejected(self):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,6 @@ from arc_cpd import (
     recommend_h,
     resolve_lambda,
     rume,
-    scan_statistic,
     substream,
     trimming_span,
 )
@@ -121,7 +121,7 @@ class TestScanStatistic:
     def test_constant_series_is_identically_zero(self):
         cfg = DetectionConfig(h=6, epsilon=0.0, lambda_policy=ManualLambda(1.0),
                               delta=0.6, sigma=1.0)
-        curve = scan_statistic(TimeSeries(np.full(48, 3.0)), cfg)
+        curve = detect(TimeSeries(np.full(48, 3.0)), cfg).scan_curve
         assert set(curve) == set(range(12, 37))
         assert all(v == 0.0 for v in curve.values())
 
@@ -130,7 +130,7 @@ class TestScanStatistic:
         x = np.concatenate([np.zeros(24), np.full(24, kappa)])
         cfg = DetectionConfig(h=6, epsilon=0.0, lambda_policy=ManualLambda(1.0),
                               delta=0.6, sigma=1.0)
-        curve = scan_statistic(TimeSeries(x), cfg)
+        curve = detect(TimeSeries(x), cfg).scan_curve
         assert curve[24] == kappa
 
     @given(st.data())
@@ -147,7 +147,7 @@ class TestScanStatistic:
                               seed=data.draw(st.integers(0, 1000)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = scan_statistic(TimeSeries(np.asarray(x)), cfg)
+            curve = detect(TimeSeries(np.asarray(x)), cfg).scan_curve
         assert np.isfinite(list(curve.values())).all()
 
     @given(st.data())
@@ -171,8 +171,8 @@ class TestScanStatistic:
                               sigma=1.0, seed=seed)
         params = RumeParams(epsilon, cfg.delta)
         with mock.patch.object(detector, "_CHUNK", chunk):
-            curve = scan_statistic(TimeSeries(x), cfg)
-            degenerate = detect(TimeSeries(x), cfg).degenerate_windows
+            rep = detect(TimeSeries(x), cfg)
+        curve, degenerate = rep.scan_curve, rep.degenerate_windows
 
         assert sorted(curve) == list(range(2 * h, n - 2 * h + 1))
         scalar_degenerate = 0
@@ -188,7 +188,7 @@ class TestScanStatistic:
         cfg = DetectionConfig(h=20, epsilon=0.0, lambda_policy=ManualLambda(1.0),
                               delta=0.5, sigma=1.0)
         with pytest.raises(SeriesTooShort):
-            scan_statistic(TimeSeries(np.zeros(50)), cfg)
+            detect(TimeSeries(np.zeros(50)), cfg)
 
     def test_jump_statistic_clears_default_threshold(self):
         # two-block mean shift with a tenth of the points replaced by a
@@ -201,7 +201,7 @@ class TestScanStatistic:
             cfg = DetectionConfig(h=170, epsilon=0.1,
                                   lambda_policy=SimulationDefaultLambda(),
                                   sigma=1.0, seed=1000 + seed)
-            curve = scan_statistic(ls.series, cfg)
+            curve = detect(ls.series, cfg).scan_curve
             ok = True
             for t in ls.truth_f.locations:
                 window = [curve[j] for j in range(t - 340, t + 341) if j in curve]
@@ -317,11 +317,10 @@ class TestDetect:
                             1e308 + g.normal(0, 1, 200)])
         cfg = DetectionConfig(h=20, epsilon=0.05, delta=0.05,
                               lambda_policy=ManualLambda(1e307), sigma=1.0)
-        for scan in (detect, scan_statistic):
-            with pytest.raises(NonFiniteScan) as exc:
-                scan(TimeSeries(x), cfg)
-            assert exc.value.scan_index == 185
-            assert "scan index 185" in str(exc.value)
+        with pytest.raises(NonFiniteScan) as exc:
+            detect(TimeSeries(x), cfg)
+        assert exc.value.scan_index == 185
+        assert "scan index 185" in str(exc.value)
 
     def test_large_auto_sigma_keeps_affine_equivariance(self):
         # the MAD scale of this series is 2.97e307, past float max / 8
@@ -354,6 +353,21 @@ class TestDetect:
                               lambda_policy=SimulationDefaultLambda())
         with pytest.raises(LambdaResolutionFailure):
             detect(TimeSeries(np.full(2000, 7.0)), cfg)
+
+    def test_manual_lambda_needs_no_scale_estimate(self):
+        # a constant series has no MAD scale, which a manual value never
+        # reads; a policy that reads it still fails before the length check
+        cfg = DetectionConfig(h=10, epsilon=0.0, delta=0.5,
+                              lambda_policy=ManualLambda(1.0))
+        rep = detect(TimeSeries(np.full(200, 3.0)), cfg)
+        assert rep.lambda_used == 1.0
+        assert rep.estimated.k == 0
+        assert set(rep.scan_curve.values()) == {0.0}
+        with pytest.raises(SeriesTooShort):
+            detect(TimeSeries(np.full(39, 3.0)), cfg)
+        with pytest.raises(LambdaResolutionFailure):
+            detect(TimeSeries(np.full(39, 3.0)),
+                   replace(cfg, lambda_policy=SimulationDefaultLambda()))
 
     def test_localization_on_hidden_steps(self):
         truth = (1250, 2500, 3750)
@@ -434,8 +448,8 @@ class TestDetect:
             series = TimeSeries(values)
             cfg = DetectionConfig(lambda_policy=ManualLambda(unit * lam),
                                   sigma=unit, **kw)
-            curve = scan_statistic(series, cfg)
-            return np.fromiter(curve.values(), np.float64), detect(series, cfg)
+            rep = detect(series, cfg)
+            return np.fromiter(rep.scan_curve.values(), np.float64), rep
 
         base_curve, base = run(x, 1.0, lam)
         curve, scaled = run(scale * x, scale, lam)
@@ -472,8 +486,7 @@ class TestDetect:
             return (np.abs(right - left),
                     int((left_kept == 0).sum() + (right_kept == 0).sum()))
 
-        rev = detector._scan_report(rev_series, cfg, lambda sigma: 1.5,
-                                    mirrored_scan, 0.0)
+        rev = detector._scan_report(rev_series, cfg, 1.5, mirrored_scan, 0.0)
         assert all(rev.scan_curve[j] == fwd.scan_curve[n - j]
                    for j in rev.scan_curve)
         assert fwd.estimated.k == rev.estimated.k
@@ -530,6 +543,25 @@ class TestDetectRepeated:
         for est, true in zip(agg.consensus_locations.locations,
                              (1250, 2500, 3750)):
             assert abs(est - true) <= 340
+
+    def test_per_run_reports_are_detect_without_curve(self):
+        # the AggregateReport promise: run r is detect at the seed
+        # substream(seed, r).child_seed(), kept without its scan curve
+        series = TimeSeries(substream(26, 0).generator().integers(
+            0, 3, 300).astype(np.float64))
+        cfg = DetectionConfig(h=8, epsilon=0.05, delta=0.5,
+                              lambda_policy=SimulationDefaultLambda(),
+                              seed=12)
+        agg = detect_repeated(series, cfg, 6)
+        assert sum(rep.degenerate_windows for rep in agg.per_run) > 0
+        for r, rep in enumerate(agg.per_run, start=1):
+            assert rep.scan_curve is None
+            seed = substream(cfg.seed, r).child_seed()
+            want = detect(series, replace(cfg, seed=seed))
+            assert rep.seed_used == seed
+            assert rep.estimated == want.estimated
+            assert rep.lambda_used == want.lambda_used
+            assert rep.degenerate_windows == want.degenerate_windows
 
     def test_deterministic_given_master_seed(self):
         ls = hiding_setting(24, n=2000)

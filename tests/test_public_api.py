@@ -40,6 +40,11 @@ class TestExports:
                      "generate", "TimeSeries"):
             assert name in namespace
         assert "bench" not in namespace and "detector" not in namespace
+        # a name in a module's __all__ that the module lacks makes its star
+        # import raise AttributeError
+        for module in ("core", "rume", "detector", "simgen", "tune", "bench",
+                       "metrics"):
+            exec(f"from arc_cpd.{module} import *", {})
 
 
 class TestImport:

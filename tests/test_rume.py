@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_cpd.rume import _feasibility, _rume_batch
+from arc_cpd.core import _unit
+from arc_cpd.rume import _feasibility, _rume_batch, _shortest
 from arc_cpd import (
     InfeasibleWindow,
     NoFeasibleCandidate,
@@ -17,16 +18,18 @@ from arc_cpd import (
     TournamentConfig,
     auto_delta,
     effective_epsilon,
-    feasibility_value,
-    is_feasible,
     rume,
-    shorth_interval,
     substream,
     tournament,
     trimming_span,
 )
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def is_feasible(h, epsilon, delta):
+    """The feasibility condition of step (3) at one level."""
+    return _feasibility(h, epsilon, delta)[1] < 0.5
 
 
 class TestEffectiveEpsilon:
@@ -98,7 +101,7 @@ class TestFeasibilityMatchesOracle:
     def test_scalar_calls_equal_oracle(self, h, eps, delta):
         eps_eff, value, d = oracle_feasibility(h, eps, delta)
         assert bits(effective_epsilon(eps, delta, h)) == bits(eps_eff)
-        assert bits(feasibility_value(h, eps, delta)) == bits(value)
+        assert bits(_feasibility(h, eps, delta)[1]) == bits(value)
         assert is_feasible(h, eps, delta) == (value < 0.5)
         if 1 <= d <= h - 1:
             assert trimming_span(h, eps, delta) == d
@@ -183,6 +186,16 @@ def brute_force_shorth(z, d):
     return (float(z[best_j]), float(z[best_j + d])), best_j + 1
 
 
+def shorth_interval(sorted_half, d):
+    """((low, high), 1-based left index) of the shortest interval spanning
+    d steps of a sorted sample, from the kernel the estimator runs: one row
+    of `rume._shortest` in its unit (`core._unit` over 2 terms)."""
+    z = np.asarray(sorted_half, dtype=np.float64)
+    scaled = z * _unit(z[0], z[-1], 2)
+    j0 = int(_shortest(scaled[None, :], np.asarray([d]))[0])
+    return (float(z[j0]), float(z[j0 + d])), j0 + 1
+
+
 class TestShorthInterval:
     def test_clear_winner(self):
         assert shorth_interval([0.0, 1.0, 2.0, 10.0], 2) == ((0.0, 2.0), 1)
@@ -205,10 +218,6 @@ class TestShorthInterval:
             z = np.sort(np.round(g.normal(0, 1, h), 1))
             d = int(g.integers(1, h))
             assert shorth_interval(z, d) == brute_force_shorth(z, d)
-
-    def test_rejects_bad_span(self):
-        with pytest.raises(ValueError):
-            shorth_interval([0.0, 1.0, 2.0], 3)
 
     def test_widths_past_float_max(self):
         # both plain widths overflow to inf; the second is the shorter

@@ -1,10 +1,12 @@
 """Contamination generators: labels, masks, atoms, and mean structure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from arc_cpd.simgen import _clean_profile, _drift
 from arc_cpd import (
     AttackSpec,
     CauchyContam,
@@ -17,12 +19,32 @@ from arc_cpd import (
     Spurious,
     atom_profile,
     build_preset,
-    empirical_mean_profile,
-    expected_value_profile,
     generate,
     mad_sigma,
     substream,
 )
+
+
+def expected_value_profile(spec):
+    """E[Y_t] per position from the design, without sampling:
+    (1 - eps) * clean mean + eps * contamination mean. Cauchy
+    contamination and real-data corruption have no such profile."""
+    v = spec.variant
+    clean = _clean_profile(spec)[0]
+    if isinstance(v, CleanSteps):
+        return clean
+    contam = _drift(v, spec.n) if isinstance(v, Sine) else atom_profile(spec)
+    return (1.0 - v.epsilon) * clean + v.epsilon * contam
+
+
+def empirical_mean_profile(ls, reps):
+    """Pointwise average of reps regenerations of ls.spec; replicate r is
+    seeded with substream(spec.seed, r).child_seed()."""
+    total = np.zeros(ls.spec.n, dtype=np.float64)
+    for r in range(1, reps + 1):
+        seed_r = substream(ls.spec.seed, r).child_seed()
+        total += generate(replace(ls.spec, seed=seed_r)).series.values
+    return total / reps
 
 
 def segment_means(values, cps):
@@ -216,11 +238,6 @@ class TestSineAndCauchy:
             assert profile[t - 1] == pytest.approx(want, rel=1e-12)
         assert v.truth == (750, 1500, 2250)
 
-    def test_cauchy_has_no_mean_profile(self):
-        spec = build_preset("cauchy", n=3000, seed=4)
-        with pytest.raises(SpecInvalid):
-            expected_value_profile(spec)
-
     def test_cauchy_series_is_finite_and_labeled(self):
         ls = generate(build_preset("cauchy", n=3000, seed=4))
         assert np.isfinite(ls.series.values).all()
@@ -326,9 +343,6 @@ class TestRejections:
                                         100, 0),
                      SpecInvalid, "sigma must be positive",
                      id="clean_sigma"),
-        pytest.param(lambda: empirical_mean_profile(
-            generate(AttackSpec(Hiding(epsilon=0.1), 100, 0)), reps=0),
-            ValueError, "reps must be >= 1", id="profile_zero_reps"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):
