@@ -22,7 +22,6 @@ from .core import (
     NonFiniteValue,
     RngStream,
     RunReport,
-    SegmentPartition,
     SeriesTooShort,
     SpecInvalid,
     TimeSeries,

@@ -421,61 +421,56 @@ def rows_to_json(rows: Sequence[BenchRow]) -> str:
                       sort_keys=True)
 
 
-def _phase_kappa(n: int, h: int, epsilon: float, sigma: float,
-                 c_lambda: float, reps: int, master_seed: int,
-                 truth: Tuple[int, ...],
+def _phase_kappa(n: int, L: int, epsilon: float, reps: int,
+                 master_seed: int,
                  item: Tuple[int, float]) -> Tuple[float, float]:
     """One phase_sweep cell: item is (index in kappa_grid, kappa)."""
     ki, kappa = item
     kappa = float(kappa)
+    h = L // 8 - (L % 8 == 0)  # keep h < L / 8 strict
+    truth = tuple(range(L, n, L))
     cell_seed = substream(master_seed, ki).child_seed()
     wins = 0
     for r in range(1, reps + 1):
         gen_seed, [(_, det_seed)] = _rep_seeds(cell_seed, r, 1)
         spec = AttackSpec(
             Sine(epsilon=epsilon, amplitude=0.0, frequency=1.0,
-                 kappa=kappa, sigma=sigma, truth=truth), n, gen_seed)
+                 kappa=kappa, sigma=1.0, truth=truth), n, gen_seed)
         ls = generate(spec)
         config = DetectionConfig(h=h, epsilon=epsilon,
-                                 lambda_policy=TheoreticalLambda(c_lambda),
+                                 lambda_policy=TheoreticalLambda(3.0),
                                  delta=_sim_delta(n, h, epsilon),
-                                 sigma=sigma, seed=det_seed)
+                                 sigma=1.0, seed=det_seed)
         est = detect(ls.series, config).estimated
         if est.k == ls.truth_f.k and \
                 hausdorff(est, ls.truth_f) <= 2 * h:
             wins += 1
-    return (kappa / sigma, wins / reps)
+    return (kappa, wins / reps)
 
 
 def phase_sweep(n: int, L: int, epsilon: float,
                 kappa_grid: Sequence[float], reps: int,
-                sigma: float = 1.0, h: Optional[int] = None,
-                c_lambda: float = 3.0,
                 master_seed: int = 0,
                 threads: int = 1) -> List[Tuple[float, float]]:
     """Empirical success probability of exact recovery per jump size.
 
     Truth places a change every L points with segment means alternating
-    0 / kappa; contamination replaces an index's draw with pure noise
-    N(0, sigma^2) at rate epsilon. A repetition succeeds when the detector
-    finds exactly the true number of changes, all within 2h. Detection uses
-    the theoretical threshold c_lambda * sigma * sqrt(eps_eff); c_lambda
-    defaults to a strong null-suppressing value so failures below the
-    boundary are misses, not false alarms.
+    0 / kappa over N(0, 1) noise; contamination replaces an index's draw
+    with pure noise N(0, 1) at rate epsilon. Detection uses the largest
+    half-width h below L / 8 and the theoretical threshold
+    3 * sqrt(eps_eff), a strong null-suppressing value, so failures below
+    the boundary are misses, not false alarms. A repetition succeeds when
+    the detector finds exactly the true number of changes, all within 2h.
 
-    Returns [(kappa / sigma, success rate)] in kappa_grid order; threads
-    caps the worker processes and does not change the result.
+    Returns [(kappa / sigma, success rate)] in kappa_grid order, where
+    sigma is 1; threads caps the worker processes and does not change the
+    result.
     """
     if n % L != 0 or n // L < 2:
         raise ValueError("L must divide n into at least 2 segments")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if h is None:
-        h = L // 8 - (1 if L % 8 == 0 else 0)  # keep h < L / 8 strict
-    truth = tuple(range(L, n, L))
-
-    cell = functools.partial(_phase_kappa, n, h, epsilon, sigma, c_lambda,
-                             reps, master_seed, truth)
+    cell = functools.partial(_phase_kappa, n, L, epsilon, reps, master_seed)
     return _fan_out(cell, list(enumerate(kappa_grid)), threads)
 
 

@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -114,8 +113,7 @@ def read_series(path: str) -> TimeSeries:
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: not finite: {token!r}")
             values.append(value)
-    return TimeSeries(np.asarray(values, dtype=np.float64),
-                      name=os.path.basename(path))
+    return TimeSeries(np.asarray(values, dtype=np.float64))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -208,13 +206,17 @@ def cmd_detect(args) -> int:
     series = read_series(args.input)
     n = series.n
     h = args.h
-    sigma_value = _sigma(args, series)
     radius = (2 * h if args.profile == "realdata"
               and args.maximizer_radius is None else args.maximizer_radius)
     policy_name = ("manual" if args.lambda_value is not None
                    else args.lambda_policy or args.profile or "sim")
     policy = (ManualLambda(args.lambda_value) if policy_name == "manual"
               else _POLICIES[policy_name]())
+    # a manual threshold reads no scale: estimate one only for another
+    # policy or the tournament
+    sigma_value = (_sigma(args, series)
+                   if policy_name != "manual" or args.auto_epsilon
+                   else args.sigma)
 
     epsilon = args.epsilon
     seed = args.seed

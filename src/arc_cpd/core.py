@@ -13,7 +13,7 @@ bit for bit, without building a generator per stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "NonFiniteScan",
     "TimeSeries",
     "ChangePointSet",
-    "SegmentPartition",
     "DetectionConfig",
     "RunReport",
     "RngStream",
@@ -174,52 +173,12 @@ class ChangePointSet:
     def k(self) -> int:
         return len(self.locations)
 
-    def to_partition(self) -> "SegmentPartition":
-        """Blocks of consecutive indices delimited by the change locations."""
-        bounds = (0,) + self.locations + (self.n,)
-        blocks = tuple((a + 1, b) for a, b in zip(bounds, bounds[1:]))
-        return SegmentPartition(blocks)
-
-
-@dataclass(frozen=True)
-class SegmentPartition:
-    """Ordered contiguous integer blocks covering {1, ..., n} exactly once.
-
-    Each block is an inclusive (start, stop) pair, 1-based. Converting to and
-    from :class:`ChangePointSet` is a bijection.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple((int(a), int(b)) for a, b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise ValueError("partition needs at least one block")
-        if blocks[0][0] != 1:
-            raise ValueError("first block must start at 1")
-        for (a, b), (c, d) in zip(blocks, blocks[1:]):
-            if c != b + 1:
-                raise ValueError("blocks must be contiguous")
-        for a, b in blocks:
-            if b < a:
-                raise ValueError("block stop must be >= start")
-
-    @property
-    def n(self) -> int:
-        return self.blocks[-1][1]
-
-    def to_change_points(self) -> ChangePointSet:
-        return ChangePointSet(tuple(b for _, b in self.blocks[:-1]), self.n)
-
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A finite real-valued sequence with an optional ground-truth annotation."""
+    """A finite real-valued sequence, stored as a read-only float64 array."""
 
     values: np.ndarray
-    name: str = "series"
-    annotation: Optional[ChangePointSet] = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -233,8 +192,6 @@ class TimeSeries:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.annotation is not None and self.annotation.n != arr.size:
-            raise ValueError("annotation length does not match series")
 
     @property
     def n(self) -> int:
@@ -296,13 +253,11 @@ _M128 = (1 << 128) - 1
 
 
 def _hashmix(value, hash_const, mult: int = _MULT_A):
-    """SeedSequence's hashmix on 32-bit words held in Python ints or uint64
-    arrays; returns the hashed value and the next hash constant. A column
-    of constants hashes a value once per row."""
+    """SeedSequence's hashmix on 32-bit words held in uint64 arrays. A
+    column of hash constants hashes a value once per row."""
     value = value ^ hash_const
-    hash_const = (hash_const * mult) & _M32
-    value = (value * hash_const) & _M32
-    return value ^ (value >> 16), hash_const
+    value = (value * ((hash_const * mult) & _M32)) & _M32
+    return value ^ (value >> 16)
 
 
 def _chain(hash_const: int, count: int, mult: int) -> np.ndarray:
@@ -323,37 +278,28 @@ def _spawn_states(seed: int, ids) -> np.ndarray:
     """Row r is SeedSequence(seed, spawn_key=(ids[r],)).generate_state(4,
     np.uint64), vectorized over ids.
 
-    A spawned SeedSequence hashes the seed's 32-bit words, zero-padded to
-    its pool of 4, then each id word into every pool word. The first part
-    depends only on the seed, and the hash constants advance without
-    looking at the data, so only the id words are mixed per row: each as
-    one (4, m) array step, the second word only when some id has one, and
-    the 8 output words as one (8, m) step.
+    A spawned SeedSequence first mixes the seed's words into its pool of 4
+    exactly as SeedSequence(seed) does, with hash constants 0..15. That pool
+    does not depend on the id, and the hash constants advance without
+    looking at the data, so only the id words are mixed per row, with
+    constants 16..19 and 20..23: each as one (4, m) array step, the second
+    word only when some id has one, and the 8 output words as one (8, m)
+    step.
     """
-    pool, hc = [], _INIT_A
-    for word in (seed & _M32, seed >> 32, 0, 0):
-        value, hc = _hashmix(word, hc)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], value)
-
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    consts = _chain(_INIT_A, 24, _MULT_A)
     ids = np.asarray(ids, dtype=np.uint64)
     high = ids >> np.uint64(32)
     two_words = high != 0  # ids past 2^32 carry a second word
     # each id word is hashed into all 4 pool words as one (4, m) step
-    pool = np.asarray(pool, dtype=np.uint64)[:, None]
-    value, hcs = _hashmix(ids & np.uint64(_M32), _chain(hc, 4, _MULT_A))
-    pool = _mix(pool, value)
+    pool = _mix(pool, _hashmix(ids & np.uint64(_M32), consts[16:20]))
     if two_words.any():
-        value, _ = _hashmix(high, _chain(int(hcs[-1, 0]), 4, _MULT_A))
-        pool = np.where(two_words, _mix(pool, value), pool)
+        pool = np.where(two_words, _mix(pool, _hashmix(high, consts[20:])),
+                        pool)
 
     # output word i hashes pool word i % 4
-    words, _ = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, 8, _MULT_B),
-                        _MULT_B)
+    words = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, 8, _MULT_B),
+                     _MULT_B)
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 

@@ -1,8 +1,8 @@
 """Evaluation metrics for estimated change point sets.
 
 Three views of estimation quality: the two-sided Hausdorff distance between
-location sets (localization), the covering metric between the induced
-partitions (segmentation overlap), and the count error (model selection).
+location sets (localization), the covering metric between the segments the
+locations cut (segmentation overlap), and the count error (model selection).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangePointSet, SegmentPartition
+from .core import ChangePointSet
 
 __all__ = ["MetricReport", "hausdorff", "covering", "count_error", "score"]
 
@@ -42,6 +42,12 @@ def hausdorff(a: ChangePointSet, b: ChangePointSet) -> float:
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
+def _blocks(cps: ChangePointSet) -> list:
+    """The inclusive 1-based (start, stop) segments that cps cuts 1..n into."""
+    bounds = (0,) + cps.locations + (cps.n,)
+    return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _jaccard(a, b) -> float:
     """Jaccard index of two inclusive integer intervals, as index sets."""
     inter = min(a[1], b[1]) - max(a[0], b[0]) + 1
@@ -51,20 +57,21 @@ def _jaccard(a, b) -> float:
     return inter / union
 
 
-def covering(estimated: SegmentPartition, truth: SegmentPartition) -> float:
-    """Truth-block-weighted maximal Jaccard overlap, in [0, 1].
+def covering(estimated: ChangePointSet, truth: ChangePointSet) -> float:
+    """Truth-segment-weighted maximal Jaccard overlap of the segments the
+    two sets cut, in [0, 1].
 
-    Directional: truth blocks carry the weights, so transposing the
+    Directional: truth segments carry the weights, so transposing the
     arguments changes the value. Estimated comes first in the signature.
     """
     if estimated.n != truth.n:
-        raise ValueError("partitions must cover the same index set")
-    n = truth.n
+        raise ValueError("sets must refer to the same series length")
+    ours = _blocks(estimated)
     total = 0.0
-    for block in truth.blocks:
+    for block in _blocks(truth):
         size = block[1] - block[0] + 1
-        total += size * max(_jaccard(block, other) for other in estimated.blocks)
-    return total / n
+        total += size * max(_jaccard(block, other) for other in ours)
+    return total / truth.n
 
 
 def count_error(a: ChangePointSet, b: ChangePointSet) -> int:
@@ -79,5 +86,5 @@ def score(estimated: ChangePointSet, truth: ChangePointSet) -> MetricReport:
         hausdorff=d,
         scaled_hausdorff=d / truth.n,
         count_error=count_error(estimated, truth),
-        covering=covering(estimated.to_partition(), truth.to_partition()),
+        covering=covering(estimated, truth),
     )

@@ -329,18 +329,10 @@ def _truths(spec: AttackSpec) -> Tuple[ChangePointSet, ChangePointSet]:
     return ChangePointSet((), n), ChangePointSet((), n)
 
 
-def _variant_name(v: AttackVariant) -> str:
-    return {
-        Spurious: "spurious", Hiding: "hiding", Sine: "sine",
-        CauchyContam: "cauchy", CleanSteps: "clean", CorruptReal: "corrupt",
-    }[type(v)]
-
-
 def generate(spec: AttackSpec) -> LabeledSeries:
     """Materialize one series from a spec; bit-reproducible from (spec, seed)."""
     v, n = spec.variant, spec.n
     g = substream(spec.seed, 0).generator()
-    name = _variant_name(v)
 
     if isinstance(v, CorruptReal):
         values = np.asarray(v.base, dtype=np.float64).copy()
@@ -354,8 +346,8 @@ def generate(spec: AttackSpec) -> LabeledSeries:
             values[idx] = rule.value_in_scales * scale
             mask[idx] = True
         truth_f = truth_ey = ChangePointSet((), n)
-        return LabeledSeries(TimeSeries(values, name=name), truth_f,
-                             truth_ey, mask, spec)
+        return LabeledSeries(TimeSeries(values), truth_f, truth_ey, mask,
+                             spec)
 
     clean_mean, sigma = _clean_profile(spec)
     eps = getattr(v, "epsilon", 0.0)
@@ -373,8 +365,7 @@ def generate(spec: AttackSpec) -> LabeledSeries:
     values = np.where(mask, contam, values)
 
     truth_f, truth_ey = _truths(spec)
-    return LabeledSeries(TimeSeries(values, name=name), truth_f, truth_ey,
-                         mask, spec)
+    return LabeledSeries(TimeSeries(values), truth_f, truth_ey, mask, spec)
 
 
 PRESET_NAMES = ("spurious", "hiding", "sine", "cauchy", "clean",

@@ -222,16 +222,22 @@ def _brute_local_max(values, radius):
             if not (j - 1 in kept and values[j - 1] == values[j])]
 
 
-def _brute_covering(est_blocks, truth_blocks, n):
+def _brute_covering(est, truth):
+    # index i (1-based) lies in the segment numbered by how many change
+    # locations precede it
+    def segments(cps):
+        segs = {}
+        for i in range(1, cps.n + 1):
+            segs.setdefault(sum(t < i for t in cps.locations), set()).add(i)
+        return list(segs.values())
+
     total = 0.0
-    for lo, hi in truth_blocks:
-        t = set(range(lo, hi + 1))
+    for t in segments(truth):
         best = 0.0
-        for lo2, hi2 in est_blocks:
-            o = set(range(lo2, hi2 + 1))
+        for o in segments(est):
             best = max(best, len(t & o) / len(t | o))
         total += len(t) * best
-    return total / n
+    return total / truth.n
 
 
 def _brute_hausdorff(a, b):
@@ -279,9 +285,8 @@ def test_oracle_equivalence():
     for _ in range(cases):
         n = int(g.integers(2, 31))
         est, truth = _random_cps(g, n), _random_cps(g, n)
-        fast = covering(est.to_partition(), truth.to_partition())
-        ref = _brute_covering(est.to_partition().blocks,
-                              truth.to_partition().blocks, n)
+        fast = covering(est, truth)
+        ref = _brute_covering(est, truth)
         assert fast == pytest.approx(ref, abs=1e-12)
 
     g = substream(7004, 0).generator()

@@ -36,7 +36,6 @@ class TestReadSeries:
         path = write_values(tmp_path / "a.csv", [1.5, -2.0, 3.25])
         ts = read_series(path)
         assert list(ts.values) == [1.5, -2.0, 3.25]
-        assert ts.name == "a.csv"
 
     def test_header_line_skipped(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -124,6 +123,23 @@ class TestDetect:
         # constant data: the zero-width kept interval still contains every
         # held-out point, so no window falls back to the median
         assert rep["diagnostics"]["degenerate_windows"] == 0
+
+    @pytest.mark.parametrize("extra, sigma", [([], None),
+                                              (["--sigma", "2"], 2.0)])
+    def test_manual_lambda_needs_no_scale_estimate(self, tmp_path, extra,
+                                                   sigma):
+        # the MAD of a constant series is zero; a manual threshold never
+        # reads a scale, so none is estimated and none is reported
+        data = write_values(tmp_path / "c.csv", [3.0] * 200)
+        out = tmp_path / "rep.json"
+        code = run(["detect", "--input", data, "--h", "10", "--epsilon", "0",
+                    "--delta", "0.5", "--lambda", "1.0", "--out", str(out)]
+                   + extra)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["sigma"] == sigma
+        assert rep["config"]["lambda"] == 1.0
+        assert rep["result"]["k_hat"] == 0
 
     def test_invalid_h_exits_2(self, gaussian_file):
         assert run(["detect", "--input", gaussian_file, "--h", "0",

@@ -6,7 +6,6 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from arc_cpd import (
     NoFeasibleCandidate,
     NonFiniteScan,
     NonFiniteValue,
-    SegmentPartition,
     SeriesTooShort,
     SpecInvalid,
     TimeSeries,
@@ -86,44 +84,6 @@ class TestChangePointSet:
             ChangePointSet((5, 5), 100)
         with pytest.raises(ValueError):
             ChangePointSet((7, 3), 100)
-
-    def test_partition_blocks(self):
-        part = ChangePointSet((3, 7), 10).to_partition()
-        assert part.blocks == ((1, 3), (4, 7), (8, 10))
-        assert part.n == 10
-
-    def test_round_trip_exhaustive_small_n(self):
-        # every subset of {1, ..., n-1} for n up to 10
-        for n in range(1, 11):
-            pool = range(1, n)
-            for size in range(0, n):
-                for locs in combinations(pool, size):
-                    cps = ChangePointSet(locs, n)
-                    back = cps.to_partition().to_change_points()
-                    assert back == cps
-
-    @given(st.integers(11, 50), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_randomized(self, n, data):
-        locs = data.draw(
-            st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)
-        )
-        cps = ChangePointSet(tuple(sorted(locs)), n)
-        assert cps.to_partition().to_change_points() == cps
-
-
-class TestSegmentPartition:
-    def test_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            SegmentPartition(((2, 5),))
-
-    def test_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            SegmentPartition(((1, 3), (5, 9)))
-
-    def test_block_order(self):
-        with pytest.raises(ValueError):
-            SegmentPartition(((1, 3), (4, 2)))
 
 
 class TestSubstream:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from arc_cpd import (
     ChangePointSet,
-    SegmentPartition,
     count_error,
     covering,
     hausdorff,
@@ -28,17 +27,23 @@ def brute_hausdorff(a, b):
     return float(max(d_ab, d_ba))
 
 
-def brute_covering(est_blocks, truth_blocks, n):
+def brute_covering(est, truth):
+    """Covering from index sets: index i (1-based) lies in the segment
+    numbered by how many change locations precede it."""
+    def segments(cps):
+        segs = {}
+        for i in range(1, cps.n + 1):
+            segs.setdefault(sum(t < i for t in cps.locations), set()).add(i)
+        return list(segs.values())
+
     total = 0.0
-    for lo, hi in truth_blocks:
-        truth_set = set(range(lo, hi + 1))
+    for truth_set in segments(truth):
         best = 0.0
-        for lo2, hi2 in est_blocks:
-            other = set(range(lo2, hi2 + 1))
+        for other in segments(est):
             j = len(truth_set & other) / len(truth_set | other)
             best = max(best, j)
         total += len(truth_set) * best
-    return total / n
+    return total / truth.n
 
 
 def random_change_points(g, n):
@@ -98,35 +103,35 @@ class TestHausdorff:
 
 class TestCovering:
     def test_identical_partitions(self):
-        part = ChangePointSet((3, 7), 12).to_partition()
-        assert covering(part, part) == 1.0
+        cps = ChangePointSet((3, 7), 12)
+        assert covering(cps, cps) == 1.0
 
     def test_half_split_of_single_block(self):
-        truth = SegmentPartition(((1, 10),))
-        est = SegmentPartition(((1, 5), (6, 10)))
+        truth = ChangePointSet((), 10)
+        est = ChangePointSet((5,), 10)
         assert covering(est, truth) == 0.5
 
     def test_directional(self):
         # weighting by truth blocks makes the metric asymmetric
-        one = SegmentPartition(((1, 9), (10, 10)))
-        many = SegmentPartition(((1, 3), (4, 6), (7, 10)))
+        one = ChangePointSet((9,), 10)
+        many = ChangePointSet((3, 6), 10)
         assert covering(one, many) != covering(many, one)
 
     def test_matches_exhaustive_double_loop(self):
         g = substream(34, 0).generator()
         for _ in range(1500):
             n = int(g.integers(2, 31))
-            est = random_change_points(g, n).to_partition()
-            truth = random_change_points(g, n).to_partition()
-            want = brute_covering(est.blocks, truth.blocks, n)
+            est = random_change_points(g, n)
+            truth = random_change_points(g, n)
+            want = brute_covering(est, truth)
             assert covering(est, truth) == pytest.approx(want, abs=1e-12)
 
     def test_bounds(self):
         g = substream(35, 0).generator()
         for _ in range(500):
             n = int(g.integers(2, 60))
-            est = random_change_points(g, n).to_partition()
-            truth = random_change_points(g, n).to_partition()
+            est = random_change_points(g, n)
+            truth = random_change_points(g, n)
             assert 0.0 < covering(est, truth) <= 1.0
 
 
@@ -170,9 +175,8 @@ class TestScore:
 class TestRejections:
     @pytest.mark.parametrize("call, error, match", [
         pytest.param(lambda: covering(
-            ChangePointSet((5,), 10).to_partition(),
-            ChangePointSet((5,), 12).to_partition()),
-            ValueError, "same index set", id="covering_lengths_differ"),
+            ChangePointSet((5,), 10), ChangePointSet((5,), 12)),
+            ValueError, "same series length", id="covering_lengths_differ"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

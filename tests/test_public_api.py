@@ -33,6 +33,29 @@ class TestExports:
             assert not name.startswith("_")
             assert not inspect.ismodule(getattr(arc_cpd, name)), name
 
+    def test_exported_names_are_pinned(self):
+        # any addition to or retirement from the API shows up in this list
+        assert arc_cpd.__all__ == [
+            "AggregateReport", "ArcCpdError", "AttackSpec", "BenchRow",
+            "CauchyContam", "ChangePointSet", "CleanSteps", "CorruptReal",
+            "CorruptionRule", "DegenerateScale", "DetectionConfig",
+            "EmptySeries", "ExperimentGrid", "Hiding", "InfeasibleWindow",
+            "LabeledSeries", "LambdaPolicy", "LambdaResolutionFailure",
+            "ManualLambda", "MetricReport", "NoFeasibleCandidate",
+            "NonFiniteScan", "NonFiniteValue", "PRESET_NAMES",
+            "RealDataHeavyTailLambda", "RealDataLambda", "RngStream",
+            "RumeOutcome", "RumeParams", "RunReport", "SeriesTooShort",
+            "SimulationDefaultLambda", "Sine", "SpecInvalid", "Spurious",
+            "TheoreticalLambda", "TimeSeries", "TournamentConfig",
+            "TournamentResult", "atom_profile", "auto_delta", "baseline_scan",
+            "build_preset", "count_error", "covering", "default_grid",
+            "detect", "detect_repeated", "effective_epsilon", "generate",
+            "hausdorff", "local_maximizers", "mad_sigma", "pairwise_test",
+            "phase_sweep", "recommend_h", "resolve_lambda", "rows_to_csv",
+            "rows_to_json", "rume", "run_grid", "score", "select_epsilon",
+            "substream", "tournament", "trimming_span",
+        ]
+
     def test_star_import_covers_the_api(self):
         namespace = {}
         exec("from arc_cpd import *", namespace)
