@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ArcCpdError, ChangePointSet, DetectionConfig,
-                   RngStream, substream)
+                   RngStream, _check_int, _is_int, substream)
 from .detector import (
     DEFAULT_C_LAMBDA,
     SimulationDefaultLambda,
@@ -100,11 +100,6 @@ class GridCell:
     window: int
 
 
-def _is_int(value) -> bool:
-    # an integer is what operator.index accepts (__index__), but no bool
-    return not isinstance(value, bool) and hasattr(type(value), "__index__")
-
-
 def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
@@ -158,9 +153,7 @@ class ExperimentGrid:
                     value is not None or name != "explicit_cells"):
                 raise ValueError(f"{name} must be a list, not {value!r}")
         for name in ("n", "reps", "master_seed", "training_points"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            _check_int(name, getattr(self, name))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not self.methods:

@@ -12,7 +12,9 @@ bit for bit, without building a generator per stream.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -47,6 +49,18 @@ MAD_TO_SIGMA = 1.4826
 
 _UINT64_MAX = 2**64 - 1
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _is_int(value) -> bool:
+    # an integer is what operator.index accepts (__index__), but no bool
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def _check_int(label: str, value) -> int:
+    """value as an int; ValueError naming label unless it is an integer."""
+    if not _is_int(value):
+        raise ValueError(f"{label} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 class ArcCpdError(Exception):
@@ -211,12 +225,11 @@ class RngStream:
     stream_id: int
 
     def __post_init__(self):
-        for label, v in (("master_seed", self.master_seed),
-                         ("stream_id", self.stream_id)):
-            if not (0 <= int(v) <= _UINT64_MAX):
+        for label in ("master_seed", "stream_id"):
+            value = _check_int(label, getattr(self, label))
+            if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{label} must fit in 64 unsigned bits")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "stream_id", int(self.stream_id))
+            object.__setattr__(self, label, value)
 
     def _seed_seq(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(self.master_seed,
@@ -227,8 +240,10 @@ class RngStream:
 
         The scan and the tournament do not call this per window: they take
         each stream's first permutation from `_permutations`, which seeds
-        them in one batch and shuffles with numpy's legacy (NEP 19-frozen)
-        `RandomState.shuffle`: the same bits.
+        them in one batch, writes each start state straight into one
+        PCG64 (after a once-per-process check that the write lands) and
+        shuffles with numpy's legacy (NEP 19-frozen) `RandomState.shuffle`:
+        the same bits.
         """
         return np.random.Generator(np.random.PCG64(self._seed_seq()))
 
@@ -249,7 +264,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 
 
 def _hashmix(value, hash_const, mult: int = _MULT_A):
@@ -303,31 +317,112 @@ def _spawn_states(seed: int, ids) -> np.ndarray:
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's start states for rows of `_spawn_states` words (s0, s1, t0,
+    t1), as uint64 limbs (state low, state high, inc low, inc high): the
+    128-bit `state = (inc + s) * MULT + inc` with `inc = 2 t + 1`, for
+    s = s0 * 2^64 + s1 and t = t0 * 2^64 + t1, all mod 2^128.
+
+    Each step runs on whole columns. A 64-bit product's high word comes
+    from four 32-bit partial products; the rest wraps mod 2^64.
+    """
+    s_hi, s_lo, t_hi, t_lo = words.T
+    one, lo32 = np.uint64(1), np.uint64(_M32)
+    k32, k63 = np.uint64(32), np.uint64(63)
+    mult_lo = np.uint64(_PCG_MULT & _UINT64_MAX)
+    mult_hi = np.uint64(_PCG_MULT >> 64)
+    m0, m1 = mult_lo & lo32, mult_lo >> k32
+    with np.errstate(over="ignore"):
+        inc_lo = (t_lo << one) | one
+        inc_hi = (t_hi << one) | (t_lo >> k63)
+        sum_lo = inc_lo + s_lo
+        sum_hi = inc_hi + s_hi + (sum_lo < inc_lo)
+        # high word of sum_lo * mult_lo
+        a0, a1 = sum_lo & lo32, sum_lo >> k32
+        p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+        mid = (p00 >> k32) + (p01 & lo32) + (p10 & lo32)
+        carry = a1 * m1 + (p01 >> k32) + (p10 >> k32) + (mid >> k32)
+        prod_lo = sum_lo * mult_lo
+        prod_hi = carry + sum_lo * mult_hi + sum_hi * mult_lo
+        state_lo = prod_lo + inc_lo
+        state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+# None until the first split checks, once per process, that the views of
+# `_state_views` reach PCG64's state; False sends every row through the
+# `state` dict setter instead
+_DIRECT_WRITE: Optional[bool] = None
+
+
+def _state_views(bit_gen: np.random.PCG64):
+    """Writable uint64 views of a PCG64's state words (state low, state
+    high, inc low, inc high) and of its (has_uint32, uinteger) pair.
+
+    They follow numpy's internal `pcg64_state`: a pointer to the 128-bit
+    state and increment, then has_uint32 and uinteger. NEP 19 does not
+    promise that layout, so `_direct_write` checks it before any use. The
+    views hold no reference to bit_gen; they are valid while it lives.
+    """
+    address = bit_gen.ctypes.state_address
+    words = ctypes.c_void_p.from_address(address).value
+    return (np.frombuffer((ctypes.c_uint64 * 4).from_address(words),
+                          dtype=np.uint64),
+            np.frombuffer(ctypes.c_uint64.from_address(address + 8),
+                          dtype=np.uint64))
+
+
+def _direct_write() -> bool:
+    """Whether a state written through `_state_views` is the state that
+    the PCG64 reports; checked at the first call, then cached."""
+    global _DIRECT_WRITE
+    if _DIRECT_WRITE is None:
+        bit_gen = np.random.PCG64(0)
+        words, flags = _state_views(bit_gen)
+        words[:] = [1, 2, 3, 5]
+        flags[0] = (7 << 32) | 1
+        _DIRECT_WRITE = bit_gen.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": (2 << 64) | 1, "inc": (5 << 64) | 3},
+            "has_uint32": 1, "uinteger": 7}
+    return _DIRECT_WRITE
+
+
 def _permutations(seed: int, ids, width: int) -> np.ndarray:
     """Row r is the first `permutation` of `width` positions drawn by
     substream(seed, ids[r]).generator(), bit for bit.
 
-    The seeding runs in one batch (`_spawn_states`, then PCG64's
-    `state = (inc + s) * MULT + inc` with `inc = 2 t + 1` for the state
-    words s, t), and each row sets that state on one PCG64 made per call.
-    Each row is filled with `arange(width)` and shuffled in place by
-    numpy's legacy `RandomState.shuffle`, which NEP 19 freezes: it draws
-    the bounded integers of `Generator.permutation` from the same bits,
-    and its typed 1-D path skips `Generator.shuffle`'s axis handling.
+    The seeding runs in one batch: `_spawn_states`, then PCG64's start
+    states as uint64 limbs (`_pcg_states`). Each row copies its four
+    words straight into the state of one PCG64 made per call, through a
+    numpy view of numpy's internal state struct, and clears the buffered
+    32-bit draw; where a once-per-process check finds that the view does
+    not reach the state, the same words go through the `state` dict
+    setter. Each row is filled with `arange(width)` and shuffled in place
+    by numpy's legacy `RandomState.shuffle`, which NEP 19 freezes: it
+    draws the bounded integers of `Generator.permutation` from the same
+    bits, and its typed 1-D path skips `Generator.shuffle`'s axis
+    handling.
     """
+    limbs = _pcg_states(_spawn_states(seed, ids))
     bit_gen = np.random.PCG64(0)
     shuffle = np.random.RandomState(bit_gen).shuffle
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner,
-             "has_uint32": 0, "uinteger": 0}
-    out = np.empty((len(ids), width), dtype=np.int64)
+    out = np.empty((len(limbs), width), dtype=np.int64)
     out[:] = np.arange(width)
-    for r, (s0, s1, t0, t1) in enumerate(_spawn_states(seed, ids).tolist()):
-        inc = ((((t0 << 64) | t1) << 1) | 1) & _M128
-        inner["state"] = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
-        inner["inc"] = inc
-        bit_gen.state = state
-        shuffle(out[r])
+    if _direct_write():
+        words, flags = _state_views(bit_gen)
+        for row, perm in zip(limbs, out):
+            words[:] = row
+            flags[0] = 0
+            shuffle(perm)
+    else:
+        for (s_lo, s_hi, i_lo, i_hi), perm in zip(limbs.tolist(), out):
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": (s_hi << 64) | s_lo,
+                          "inc": (i_hi << 64) | i_lo},
+                "has_uint32": 0, "uinteger": 0}
+            shuffle(perm)
     return out
 
 
@@ -387,20 +482,25 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.h) < 2:
+        h = _check_int("h", self.h)
+        if h < 2:
             raise ValueError("h must be an integer >= 2")
-        object.__setattr__(self, "h", int(self.h))
+        object.__setattr__(self, "h", h)
         if not (0.0 <= self.epsilon < 0.5):
             raise ValueError("epsilon must lie in [0, 0.5)")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        if self.maximizer_radius is not None and int(self.maximizer_radius) < 1:
-            raise ValueError("maximizer_radius must be >= 1")
-        if not (0 <= int(self.seed) <= _UINT64_MAX):
+        if self.maximizer_radius is not None:
+            radius = _check_int("maximizer_radius", self.maximizer_radius)
+            if radius < 1:
+                raise ValueError("maximizer_radius must be >= 1")
+            object.__setattr__(self, "maximizer_radius", radius)
+        seed = _check_int("seed", self.seed)
+        if not 0 <= seed <= _UINT64_MAX:
             raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ contamination. Given a window of 2h values and a failure level delta in
    shuffle is numpy's legacy `RandomState.shuffle` of the positions
    0..2h-1 on the window's PCG64 stream, which NEP 19 freezes and which
    gives the bits of the stream's first `Generator.permutation` of 2h; a
-   batch of windows seeds all its streams at once (`core._permutations`).
+   batch of windows seeds all its streams at once and writes each start
+   state straight into one PCG64 (`core._permutations`).
 2. Inflate the contamination rate: eps_eff = max(eps, log(1/delta) / h).
 3. Compute the trimming span
 

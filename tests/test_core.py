@@ -31,7 +31,8 @@ from arc_cpd import (
     mad_sigma,
     substream,
 )
-from arc_cpd.core import _permutations, _spawn_states
+import arc_cpd.core as core
+from arc_cpd.core import _pcg_states, _permutations, _spawn_states
 
 
 class TestValidateSeries:
@@ -125,6 +126,9 @@ class TestSubstream:
 
 # ids at the edges of one and two 32-bit words
 _EDGE_IDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+# raw 64-bit words that reach every carry of the PCG64 seeding: t's top bit
+# into inc's high word, the 128-bit add, and each 32-bit partial product
+_CARRY_WORDS = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
 
 
 class TestBatchedStreams:
@@ -198,6 +202,52 @@ class TestBatchedStreams:
             sys.setswitchinterval(interval)
         assert concurrent == serial
         assert serial[0] != serial[1]
+
+    @given(rows=st.lists(
+        st.tuples(*[st.one_of(st.sampled_from(_CARRY_WORDS),
+                              st.integers(0, 2**64 - 1))] * 4),
+        min_size=1, max_size=8))
+    @example(rows=[(a, b, c, d) for a in _CARRY_WORDS for b in _CARRY_WORDS
+                   for c in _CARRY_WORDS for d in _CARRY_WORDS])
+    @settings(max_examples=300, deadline=None)
+    def test_pcg_limbs_equal_int_formula(self, rows):
+        limbs = _pcg_states(np.array(rows, dtype=np.uint64))
+        mask = 2**128 - 1
+        for (s0, s1, t0, t1), (s_lo, s_hi, i_lo, i_hi) in zip(
+                rows, limbs.tolist()):
+            inc = (2 * ((t0 << 64) | t1) + 1) & mask
+            want = (((inc + ((s0 << 64) | s1)) * core._PCG_MULT + inc)
+                    & mask)
+            assert ((s_hi << 64) | s_lo, (i_hi << 64) | i_lo) == (want, inc)
+
+    def test_pcg_limbs_reproduce_golden_states(self):
+        # the `pcg` literals of test_golden_rows: PCG64 seeded at seed 0,
+        # ids 0 and 2^64 - 1
+        pcg = [(0x9DC7E5C5548209EFE5F1B57E8273DB25,
+                0xCD7472B7376A4446DF3664221FC3C153),
+               (0x110FE21A87D0FA3BB4C6131BDB023835,
+                0x9E2C45ED1DD4A5C8012388F9B7E1E279)]
+        limbs = _pcg_states(_spawn_states(0, [0, 2**64 - 1])).tolist()
+        assert [((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
+                for s_lo, s_hi, i_lo, i_hi in limbs] == pcg
+
+    def test_dict_setter_fallback_gives_the_same_rows(self, monkeypatch):
+        # views that miss the generator's state fail the layout check, and
+        # every row then goes through the `state` dict setter
+        fast = _permutations(9, _EDGE_IDS, 300)
+
+        def stray_views(bit_gen):
+            return np.zeros(4, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+
+        monkeypatch.setattr(core, "_DIRECT_WRITE", None)
+        monkeypatch.setattr(core, "_state_views", stray_views)
+        for width in (2, 300):
+            perms = _permutations(9, _EDGE_IDS, width)
+            assert core._DIRECT_WRITE is False
+            for r, stream_id in enumerate(_EDGE_IDS):
+                want = substream(9, stream_id).generator().permutation(width)
+                assert np.array_equal(perms[r], want)
+        assert np.array_equal(perms, fast)
 
 
 class TestMadSigma:
@@ -273,6 +323,15 @@ class TestDetectionConfig:
         assert cfg.maximizer_radius is None
         assert cfg.seed == 0
 
+    def test_numpy_integers_become_ints(self):
+        cfg = DetectionConfig(h=np.int64(10), epsilon=0.1,
+                              lambda_policy=ManualLambda(1.0),
+                              maximizer_radius=np.int32(3),
+                              seed=np.uint64(2**64 - 1))
+        assert (cfg.h, cfg.maximizer_radius, cfg.seed) == (10, 3, 2**64 - 1)
+        assert {type(cfg.h), type(cfg.maximizer_radius), type(cfg.seed)} \
+            == {int}
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             DetectionConfig(h=10, epsilon=0.5, lambda_policy=ManualLambda(1.0))
@@ -337,6 +396,25 @@ class TestRejections:
         pytest.param(lambda: DetectionConfig(
             h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0), seed=2**64),
             ValueError, "seed must fit in 64 unsigned bits", id="seed_2_64"),
+        # integer fields take what has __index__, but no bool: a float, a
+        # bool or a string would be truncated or parsed quietly
+        pytest.param(lambda: DetectionConfig(
+            h=20.9, epsilon=0.1, lambda_policy=ManualLambda(1.0)),
+            ValueError, "h must be an integer, not 20.9", id="h_fraction"),
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0),
+            maximizer_radius=2.5), ValueError,
+            "maximizer_radius must be an integer, not 2.5",
+            id="radius_fraction"),
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=0.1, lambda_policy=ManualLambda(1.0), seed=True),
+            ValueError, "seed must be an integer, not True", id="seed_bool"),
+        pytest.param(lambda: substream(1.5, 0), ValueError,
+                     "master_seed must be an integer, not 1.5",
+                     id="master_seed_fraction"),
+        pytest.param(lambda: substream(0, "7"), ValueError,
+                     "stream_id must be an integer, not '7'",
+                     id="stream_id_string"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):
