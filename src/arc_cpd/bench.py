@@ -28,7 +28,6 @@ import io
 import json
 import math
 import multiprocessing
-import numbers
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ArcCpdError, ChangePointSet, DetectionConfig,
-                   RngStream, _check_int, _is_int, substream)
+                   RngStream, _check_int, _check_real, _is_int, _is_real,
+                   substream)
 from .detector import (
     DEFAULT_C_LAMBDA,
     SimulationDefaultLambda,
@@ -100,10 +100,6 @@ class GridCell:
     window: int
 
 
-def _is_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
 # each cell entry in order: its GridCell field, the grid list a product
 # cell draws it from, its check and what the check asks for
 _CELL_FIELDS = (
@@ -152,10 +148,10 @@ class ExperimentGrid:
             if isinstance(value, str) or not hasattr(value, "__iter__") and (
                     value is not None or name != "explicit_cells"):
                 raise ValueError(f"{name} must be a list, not {value!r}")
-        for name in ("n", "reps", "master_seed", "training_points"):
+        for name in ("n", "master_seed", "training_points"):
             _check_int(name, getattr(self, name))
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_int("reps", self.reps, 1)
+        _check_real("c_lambda", self.c_lambda)
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for m in self.methods:
@@ -228,8 +224,7 @@ def _fan_out(fn: Callable, items: Sequence, threads: int) -> list:
     re-importing the package; otherwise they are spawned. An error raised
     by fn reaches the caller as the same exception.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _check_int("threads", threads, 1)
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     # a fork copies locks that another thread may hold, never that thread
@@ -459,10 +454,10 @@ def phase_sweep(n: int, L: int, epsilon: float,
     sigma is 1; threads caps the worker processes and does not change the
     result.
     """
-    if n % L != 0 or n // L < 2:
+    _check_int("n", n)
+    if n % _check_int("L", L, 1) != 0 or n // L < 2:
         raise ValueError("L must divide n into at least 2 segments")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_int("reps", reps, 1)
     cell = functools.partial(_phase_kappa, n, L, epsilon, reps, master_seed)
     return _fan_out(cell, list(enumerate(kappa_grid)), threads)
 

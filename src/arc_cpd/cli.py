@@ -45,6 +45,8 @@ from .core import (
     DetectionConfig,
     InfeasibleWindow,
     TimeSeries,
+    _check_int,
+    _check_real,
     mad_sigma,
     substream,
 )
@@ -140,12 +142,7 @@ def _parse_range(raw: str) -> Tuple[int, int]:
 
 
 def _parse_sigma(raw: str) -> Optional[float]:
-    if raw == "auto":
-        return None
-    value = float(raw)
-    if not 0.0 < value < math.inf:
-        raise ValueError("sigma must be positive and finite")
-    return value
+    return None if raw == "auto" else _check_real("sigma", float(raw))
 
 
 def _parse_delta(raw: str):
@@ -170,7 +167,7 @@ def _load_truth(path: str, n: int) -> ChangePointSet:
             raise ValueError(f"{path}: no truth_F or change_points field")
     else:
         locs = data
-    # JSON integers only: int() would floor 600.7 and read true as 1
+    # JSON integers only, refused with the file name
     if not isinstance(locs, list) or any(type(x) is not int for x in locs):
         raise ValueError(f"{path}: change points must be a list of JSON "
                          f"integers, not {locs!r}")
@@ -199,8 +196,7 @@ def _tune(series: TimeSeries, args, sigma: float,
 
 
 def cmd_detect(args) -> int:
-    if args.runs < 1:
-        raise ValueError("--runs must be >= 1")
+    _check_int("--runs", args.runs, 1)
     if args.dump_curve and args.runs > 1:
         raise ValueError("--dump-curve needs --runs 1")
     series = read_series(args.input)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -56,11 +57,41 @@ def _is_int(value) -> bool:
     return not isinstance(value, bool) and hasattr(type(value), "__index__")
 
 
-def _check_int(label: str, value) -> int:
-    """value as an int; ValueError naming label unless it is an integer."""
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _check_int(label: str, value, low: Optional[int] = None,
+               high: Optional[int] = None, error=ValueError) -> int:
+    """value as an int in [low, high], a bound of None left open; error
+    naming label otherwise. high = 2^64 - 1 (with low 0) reads as "fit in
+    64 unsigned bits"."""
     if not _is_int(value):
-        raise ValueError(f"{label} must be an integer, not {value!r}")
-    return operator.index(value)
+        raise error(f"{label} must be an integer, not {value!r}")
+    value = operator.index(value)
+    if low is not None and value < low or high is not None and value > high:
+        rule = ("must fit in 64 unsigned bits" if high == _UINT64_MAX else
+                f"must be >= {low}" if high is None else
+                f"must lie in [{low}, {high}]")
+        raise error(f"{label} {rule}, not {value!r}")
+    return value
+
+
+def _check_real(label: str, value, low: float = 0.0, high: float = math.inf,
+                closed_low: bool = False, error=ValueError) -> float:
+    """value as a float in (low, high), or in [low, high) when closed_low;
+    error naming label otherwise. The defaults ask for positive and
+    finite."""
+    try:
+        x = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int past float max
+        x = math.inf
+    if (low <= x if closed_low else low < x) and x < high:
+        return x
+    rule = ("must be positive and finite" if (low, high, closed_low) ==
+            (0.0, math.inf, False) else
+            f"must lie in {'[' if closed_low else '('}{low:g}, {high:g})")
+    raise error(f"{label} {rule}, not {value!r}")
 
 
 class ArcCpdError(Exception):
@@ -173,15 +204,14 @@ class ChangePointSet:
     n: int
 
     def __post_init__(self):
-        locs = tuple(int(v) for v in self.locations)
+        n = _check_int("n", self.n, 1)
+        locs = tuple(_check_int("locations", v, 1, n - 1)
+                     for v in self.locations)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "locations", locs)
-        if self.n < 1:
-            raise ValueError("series length must be >= 1")
         for prev, cur in zip(locs, locs[1:]):
             if cur <= prev:
                 raise ValueError("locations must be strictly increasing")
-        if locs and not (1 <= locs[0] and locs[-1] <= self.n - 1):
-            raise ValueError(f"locations must lie in [1, {self.n - 1}]")
 
     @property
     def k(self) -> int:
@@ -226,10 +256,8 @@ class RngStream:
 
     def __post_init__(self):
         for label in ("master_seed", "stream_id"):
-            value = _check_int(label, getattr(self, label))
-            if not 0 <= value <= _UINT64_MAX:
-                raise ValueError(f"{label} must fit in 64 unsigned bits")
-            object.__setattr__(self, label, value)
+            object.__setattr__(self, label, _check_int(
+                label, getattr(self, label), 0, _UINT64_MAX))
 
     def _seed_seq(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(self.master_seed,
@@ -482,25 +510,17 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        h = _check_int("h", self.h)
-        if h < 2:
-            raise ValueError("h must be an integer >= 2")
-        object.__setattr__(self, "h", h)
-        if not (0.0 <= self.epsilon < 0.5):
-            raise ValueError("epsilon must lie in [0, 0.5)")
-        if self.delta is not None and not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "h", _check_int("h", self.h, 2))
+        _check_real("epsilon", self.epsilon, 0.0, 0.5, closed_low=True)
+        if self.delta is not None:
+            _check_real("delta", self.delta, 0.0, 1.0)
+        if self.sigma is not None:
+            _check_real("sigma", self.sigma)
         if self.maximizer_radius is not None:
-            radius = _check_int("maximizer_radius", self.maximizer_radius)
-            if radius < 1:
-                raise ValueError("maximizer_radius must be >= 1")
-            object.__setattr__(self, "maximizer_radius", radius)
-        seed = _check_int("seed", self.seed)
-        if not 0 <= seed <= _UINT64_MAX:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", seed)
+            object.__setattr__(self, "maximizer_radius", _check_int(
+                "maximizer_radius", self.maximizer_radius, 1))
+        object.__setattr__(self, "seed",
+                           _check_int("seed", self.seed, 0, _UINT64_MAX))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ from .core import (
     RunReport,
     SeriesTooShort,
     TimeSeries,
+    _check_int,
+    _check_real,
     mad_sigma,
     substream,
 )
@@ -74,8 +76,7 @@ class ManualLambda:
     value: float
 
     def __post_init__(self):
-        if not 0.0 < self.value < math.inf:
-            raise ValueError("lambda must be positive and finite")
+        _check_real("lambda", self.value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class TheoreticalLambda:
     c_lambda: float = DEFAULT_C_LAMBDA
 
     def __post_init__(self):
-        if not 0.0 < self.c_lambda < math.inf:
-            raise ValueError("c_lambda must be positive and finite")
+        _check_real("c_lambda", self.c_lambda)
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,7 @@ def local_maximizers(curve, radius: int) -> List[int]:
     Accepts a mapping from contiguous integer indices to values, or a plain
     sequence (then positions 0..len-1 are the indices).
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_int("radius", radius, 1)
     if isinstance(curve, Mapping):
         keys = sorted(curve)
         if keys and keys[-1] - keys[0] + 1 != len(keys):
@@ -271,7 +270,7 @@ def _scan_report(series: TimeSeries, config: DetectionConfig, lam: float,
                                       (curve > lam))
     return RunReport(
         scan_curve={2 * h + i: float(v) for i, v in enumerate(curve)},
-        estimated=ChangePointSet(tuple(int(j) for j in detected), series.n),
+        estimated=ChangePointSet(tuple(detected), series.n),
         degenerate_windows=degenerate,
         lambda_used=lam,
         epsilon_effective=epsilon_effective,
@@ -321,8 +320,7 @@ def detect_repeated(series: TimeSeries, config: DetectionConfig,
     locations are coordinatewise lower medians over the modal-count runs,
     which keeps them integers and strictly increasing.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs = _check_int("runs", runs, 1)
     reports = tuple(
         replace(detect(series, replace(
             config, seed=substream(config.seed, r).child_seed())),
@@ -340,8 +338,7 @@ def detect_repeated(series: TimeSeries, config: DetectionConfig,
         runs=runs,
         khat_histogram=dict(sorted(histogram.items())),
         modal_k=modal_k,
-        consensus_locations=ChangePointSet(
-            tuple(int(j) for j in consensus), series.n),
+        consensus_locations=ChangePointSet(tuple(consensus), series.n),
         per_run=reports,
     )
 
@@ -366,10 +363,8 @@ def recommend_h(n: int, epsilon: float, kappa_over_sigma: float,
     None for every n; yet in the README quick start (n = 5000, epsilon =
     0.1, kappa / sigma = 1) h = 170 recovers all three changes.
     """
-    if not (0.0 <= epsilon < 0.5):
-        raise ValueError("epsilon must lie in [0, 0.5)")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_real("epsilon", epsilon, 0.0, 0.5, closed_low=True)
+    _check_int("n", n, 2)
     log_n = math.log(n)
     r = kappa_over_sigma
     if epsilon <= 0.1:

@@ -52,7 +52,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InfeasibleWindow, RngStream, _permutations, _unit
+from .core import (InfeasibleWindow, RngStream, _check_int, _check_real,
+                   _permutations, _unit)
 
 __all__ = [
     "RumeParams",
@@ -72,10 +73,8 @@ class RumeParams:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon < 0.5):
-            raise ValueError("epsilon must lie in [0, 0.5)")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+        _check_real("epsilon", self.epsilon, 0.0, 0.5, closed_low=True)
+        _check_real("delta", self.delta, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,15 @@ def _feasibility(h: int, epsilon, delta: float):
 
 def effective_epsilon(epsilon: float, delta: float, h: int) -> float:
     """Inflated contamination rate max(epsilon, log(1/delta) / h)."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_int("h", h, 1)
+    _check_real("delta", delta, 0.0, 1.0)
     return float(_feasibility(h, epsilon, delta)[0])
 
 
 def trimming_span(h: int, epsilon: float, delta: float) -> int:
     """The span D of step (3); raises InfeasibleWindow outside [1, h-1]."""
+    _check_int("h", h, 1)
+    _check_real("delta", delta, 0.0, 1.0)
     eps_eff, value, span = _feasibility(h, epsilon, delta)
     d = int(span)
     if d < 1 or d > h - 1:
@@ -156,7 +155,7 @@ def auto_delta(n: int, h: int, epsilon: float) -> float:
     feasibility budget is spent. Raises InfeasibleWindow when no delta in
     (0, 1) can satisfy the condition.
     """
-    if n < 2 or h < 2:
+    if _check_int("n", n) < 2 or _check_int("h", h) < 2:
         raise ValueError("need n >= 2 and h >= 2")
     eps_eff, value, _ = _feasibility(h, epsilon, 1.0 / n)
     if value < 0.5:

@@ -26,9 +26,12 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
+    _UINT64_MAX,
     ChangePointSet,
     SpecInvalid,
     TimeSeries,
+    _check_int,
+    _check_real,
     mad_sigma,
     substream,
 )
@@ -144,11 +147,6 @@ AttackVariant = Union[Spurious, Hiding, Sine, CauchyContam, CleanSteps,
 _BLOCK_VARIANTS = (Spurious, Hiding)
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 <= eps < 0.5):
-        raise SpecInvalid(f"epsilon must lie in [0, 0.5), got {eps}")
-
-
 @dataclass(frozen=True, eq=False)
 class AttackSpec:
     """A fully specified generation task: variant parameters, length, seed."""
@@ -158,44 +156,33 @@ class AttackSpec:
     seed: int
 
     def __post_init__(self):
-        if int(self.n) < 2:
-            raise SpecInvalid("n must be an integer >= 2")
-        object.__setattr__(self, "n", int(self.n))
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise SpecInvalid("seed must fit in uint64")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n",
+                           _check_int("n", self.n, 2, error=SpecInvalid))
+        object.__setattr__(self, "seed", _check_int(
+            "seed", self.seed, 0, _UINT64_MAX, SpecInvalid))
         v = self.variant
+        # variants share these field names; each is checked where present
+        if hasattr(v, "epsilon"):
+            _check_real("epsilon", v.epsilon, 0.0, 0.5, closed_low=True,
+                        error=SpecInvalid)
+        for field in ("sigma", "frequency", "scale"):
+            if hasattr(v, field):
+                _check_real(field, getattr(v, field), error=SpecInvalid)
         if isinstance(v, _BLOCK_VARIANTS):
-            _check_eps(v.epsilon)
-            if v.blocks < 1:
-                raise SpecInvalid("blocks must be >= 1")
+            _check_int("blocks", v.blocks, 1, error=SpecInvalid)
             if self.n < 2 * v.blocks:
                 raise SpecInvalid("each half span needs at least one point")
             if self.n % v.blocks != 0:
                 warnings.warn(
                     f"blocks = {v.blocks} does not divide n = {self.n}; "
                     "span boundaries are floored", stacklevel=3)
-            if isinstance(v, Hiding):
-                if v.epsilon <= 0.0:
-                    raise SpecInvalid(
-                        "hiding variant needs epsilon > 0: its atom value "
-                        "kappa / (2 epsilon) is undefined at 0")
-            if isinstance(v, Spurious) and v.sigma <= 0:
-                raise SpecInvalid("sigma must be positive")
-        elif isinstance(v, (Sine, CauchyContam)):
-            _check_eps(v.epsilon)
-            if v.sigma <= 0:
-                raise SpecInvalid("sigma must be positive")
-            if isinstance(v, Sine) and v.frequency <= 0:
-                raise SpecInvalid("frequency must be positive")
-            if isinstance(v, CauchyContam) and v.scale <= 0:
-                raise SpecInvalid("scale must be positive")
+            if isinstance(v, Hiding) and v.epsilon <= 0.0:
+                raise SpecInvalid(
+                    "hiding variant needs epsilon > 0: its atom value "
+                    "kappa / (2 epsilon) is undefined at 0")
+        elif isinstance(v, (Sine, CauchyContam, CleanSteps)):
             self._check_truth(v.truth)
-        elif isinstance(v, CleanSteps):
-            if v.sigma <= 0:
-                raise SpecInvalid("sigma must be positive")
-            self._check_truth(v.truth)
-            if len(v.means) != len(v.truth) + 1:
+            if isinstance(v, CleanSteps) and len(v.means) != len(v.truth) + 1:
                 raise SpecInvalid(
                     f"{len(v.truth)} change points need "
                     f"{len(v.truth) + 1} segment means, got {len(v.means)}")
@@ -205,12 +192,12 @@ class AttackSpec:
                     f"base series length {len(v.base)} != n = {self.n}")
             for rule in v.rules:
                 lo, hi = rule.region
-                hi = self.n if hi is None else hi
-                if not (1 <= lo <= hi <= self.n):
-                    raise SpecInvalid(f"rule region {rule.region} out of range")
-                if rule.count < 0 or rule.count > hi - lo + 1:
-                    raise SpecInvalid(
-                        f"rule count {rule.count} exceeds region size")
+                lo = _check_int("rule region start", lo, 1, self.n,
+                                SpecInvalid)
+                hi = self.n if hi is None else _check_int(
+                    "rule region stop", hi, lo, self.n, SpecInvalid)
+                _check_int("rule count", rule.count, 0, hi - lo + 1,
+                           SpecInvalid)
         else:
             raise SpecInvalid(f"unknown variant {type(v).__name__}")
 

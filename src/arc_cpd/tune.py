@@ -17,14 +17,14 @@ the detection half-width, sit out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import NoFeasibleCandidate, RngStream, TimeSeries
+from .core import (NoFeasibleCandidate, RngStream, TimeSeries, _check_int,
+                   _check_real)
 from .rume import _feasibility, _rume_batch, trimming_span
 from .rume import rume  # noqa: F401  perfbench/tracer.py wraps tune.rume
 
@@ -92,8 +92,7 @@ def _beats(ranked: np.ndarray, sorted_training: np.ndarray,
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> Tuple[float, ...]:
     """Equally spaced candidate levels from 0 to 0.25."""
-    if size < 2:
-        raise ValueError("grid size must be >= 2")
+    _check_int("grid size", size, 2)
     return tuple(float(x) for x in np.linspace(0.0, 0.25, size))
 
 
@@ -109,21 +108,19 @@ class TournamentConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.grid)
+        # one pass over the values: run_grid builds a config per aarc rep
+        g = tuple(_check_real("grid values", x, 0.0, 0.5, closed_low=True)
+                  for x in self.grid)
         if len(g) < 1:
             raise ValueError("grid must be nonempty")
-        if any(not (0.0 <= x < 0.5) for x in g):
-            raise ValueError("grid values must lie in [0, 0.5)")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
         a, b = self.training_range
-        if b - a < 2:
-            raise ValueError("training range must contain at least 2 points")
-        if a < 0:
-            raise ValueError("training range start must be >= 0")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        a = _check_int("training range start", a, 0)
+        b = _check_int("training range stop", b, a + 2)  # 2 points or more
+        object.__setattr__(self, "training_range", (a, b))
+        _check_real("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ def pairwise_test(theta_j: float, theta_k: float,
     read in the pair's orientation. Raises ValueError on empty or
     non-finite training and on a non-finite estimate.
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
+    _check_real("sigma", sigma)
     y = np.sort(np.asarray(training, dtype=np.float64))
     if y.ndim != 1 or y.size == 0:
         raise ValueError("training must be one-dimensional and nonempty")
@@ -192,10 +188,8 @@ def tournament(series: TimeSeries, tc: TournamentConfig, detection_h: int,
     feasible k with pairwise_test(estimates[j], estimates[k], window,
     sigma) == 1.
     """
-    if detection_h < 2:
-        raise ValueError("detection_h must be >= 2")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_int("detection_h", detection_h, 2)
+    _check_real("delta", delta, 0.0, 1.0)
     window = _training_window(series, tc)
     h_train = window.size // 2
     grid = np.asarray(tc.grid)

@@ -397,6 +397,17 @@ class TestRejections:
         pytest.param(lambda: ExperimentGrid(preset="spurious", n=1000,
                                             methods=()),
                      ValueError, "methods must be nonempty", id="no_methods"),
+        # a string c_lambda raised a TypeError inside the first row
+        pytest.param(lambda: ExperimentGrid(
+            preset="hiding", n=2000, windows=(170,), reps=1,
+            lambda_policy="theoretical", c_lambda="2"), ValueError,
+            "c_lambda must be positive and finite, not '2'",
+            id="c_lambda_string"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="hiding", n=2000, windows=(170,), reps=1,
+            lambda_policy="theoretical", c_lambda=True), ValueError,
+            "c_lambda must be positive and finite, not True",
+            id="c_lambda_bool"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

@@ -503,6 +503,7 @@ class TestBench:
          "kappas entry must be a real number or null, not 'k'"),
         ("sigmas", [True],
          "sigmas entry must be a real number or null, not True"),
+        ("c_lambda", "2", "c_lambda must be positive and finite, not '2'"),
     ])
     def test_wrong_typed_grid_field_exits_2(self, field, value, message,
                                             tmp_path, capsys):

@@ -415,6 +415,19 @@ class TestRejections:
         pytest.param(lambda: substream(0, "7"), ValueError,
                      "stream_id must be an integer, not '7'",
                      id="stream_id_string"),
+        # a float location was floored to (2, 5)
+        pytest.param(lambda: ChangePointSet((2.7, 5.2), 10), ValueError,
+                     "locations must be an integer, not 2.7",
+                     id="location_fraction"),
+        # a real field takes numbers.Real, but no bool and no string
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=False, lambda_policy=ManualLambda(1.0)),
+            ValueError, r"epsilon must lie in \[0, 0.5\), not False",
+            id="epsilon_bool"),
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon="0.1", lambda_policy=ManualLambda(1.0)),
+            ValueError, r"epsilon must lie in \[0, 0.5\), not '0.1'",
+            id="epsilon_string"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

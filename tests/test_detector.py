@@ -628,6 +628,12 @@ class TestRejections:
                      r"epsilon must lie in \[0, 0.5\)", id="epsilon_half"),
         pytest.param(lambda: recommend_h(1, 0.1, 1.0), ValueError,
                      "n must be >= 2", id="n_one"),
+        pytest.param(lambda: TheoreticalLambda(True), ValueError,
+                     "c_lambda must be positive and finite, not True",
+                     id="c_lambda_bool"),
+        pytest.param(lambda: ManualLambda("1"), ValueError,
+                     "lambda must be positive and finite, not '1'",
+                     id="manual_lambda_string"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

@@ -480,6 +480,18 @@ class TestRejections:
                                   substream(0, 0)),
                      ValueError, "window values must be finite",
                      id="rume_nonfinite_window"),
+        pytest.param(lambda: RumeParams(None, 0.1), ValueError,
+                     "epsilon must lie", id="params_epsilon_none"),
+        # these raised ZeroDivisionError, a RuntimeWarning, or returned 0.59
+        pytest.param(lambda: trimming_span(10, 0.1, 0.0), ValueError,
+                     r"delta must lie in \(0, 1\)", id="span_delta_zero"),
+        pytest.param(lambda: trimming_span(0, 0.1, 0.1), ValueError,
+                     "h must be >= 1", id="span_h_zero"),
+        pytest.param(lambda: trimming_span(10, 0.1, 1.5), ValueError,
+                     r"delta must lie in \(0, 1\)", id="span_delta_above_one"),
+        pytest.param(lambda: auto_delta(100, 10.5, 0.1), ValueError,
+                     "h must be an integer, not 10.5",
+                     id="auto_delta_h_fraction"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

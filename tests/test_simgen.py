@@ -316,10 +316,21 @@ class TestPresets:
 class TestRejections:
     @pytest.mark.parametrize("call, error, match", [
         pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1), 1, 0),
-                     SpecInvalid, "n must be an integer >= 2", id="n_one"),
+                     SpecInvalid, "n must be >= 2", id="n_one"),
         pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1), 100, -1),
-                     SpecInvalid, "seed must fit in uint64",
+                     SpecInvalid, "seed must fit in 64 unsigned bits",
                      id="negative_seed"),
+        # fractional integer fields were truncated to n = 20, seed = 1
+        pytest.param(lambda: AttackSpec(Hiding(epsilon=0.1), 20.9, 1.5),
+                     SpecInvalid, "n must be an integer, not 20.9",
+                     id="n_fraction"),
+        pytest.param(lambda: AttackSpec(Hiding(epsilon=0.1), 20, 1.5),
+                     SpecInvalid, "seed must be an integer, not 1.5",
+                     id="seed_fraction"),
+        pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1, blocks=1.5),
+                                        100, 0),
+                     SpecInvalid, "blocks must be an integer, not 1.5",
+                     id="blocks_fraction"),
         pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1, blocks=0),
                                         100, 0),
                      SpecInvalid, "blocks must be >= 1", id="zero_blocks"),

@@ -420,6 +420,10 @@ class TestRejections:
             id="training_window_two"),
         pytest.param(lambda: default_grid(1), ValueError,
                      "grid size must be >= 2", id="grid_size_one"),
+        pytest.param(lambda: TournamentConfig(training_range=(0, 300.5)),
+                     ValueError,
+                     "training range stop must be an integer, not 300.5",
+                     id="training_stop_fraction"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):
