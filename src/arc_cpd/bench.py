@@ -37,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ArcCpdError, ChangePointSet, DetectionConfig,
-                   RngStream, _check_int, _check_real, _is_int, _is_real,
-                   substream)
+from .core import (_UINT64_MAX, ArcCpdError, ChangePointSet,
+                   DetectionConfig, RngStream, _check_int, _check_real,
+                   _is_int, _is_real, substream)
 from .detector import (
     DEFAULT_C_LAMBDA,
     SimulationDefaultLambda,
@@ -49,7 +49,8 @@ from .detector import (
 )
 from .metrics import hausdorff
 from .rume import auto_delta
-from .simgen import AttackSpec, LabeledSeries, Sine, build_preset, generate
+from .simgen import (AttackSpec, LabeledSeries, Sine, _design,
+                     build_preset, generate)
 from .tune import TournamentConfig, select_epsilon
 
 __all__ = [
@@ -148,8 +149,9 @@ class ExperimentGrid:
             if isinstance(value, str) or not hasattr(value, "__iter__") and (
                     value is not None or name != "explicit_cells"):
                 raise ValueError(f"{name} must be a list, not {value!r}")
-        for name in ("n", "master_seed", "training_points"):
-            _check_int(name, getattr(self, name))
+        _check_int("n", self.n, 2)
+        _check_int("master_seed", self.master_seed, 0, _UINT64_MAX)
+        _check_int("training_points", self.training_points, 2)
         _check_int("reps", self.reps, 1)
         _check_real("c_lambda", self.c_lambda)
         if not self.methods:
@@ -236,11 +238,6 @@ def _fan_out(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _cell_sigma(cell: GridCell) -> float:
-    # hiding's clean noise scale is pinned to 1 by construction
-    return cell.sigma if cell.sigma is not None else 1.0
-
-
 def _cell_spec(grid: ExperimentGrid, cell: GridCell, seed: int) -> AttackSpec:
     return build_preset(grid.preset, n=grid.n, epsilon=cell.epsilon,
                         delta_blocks=cell.blocks, kappa=cell.kappa,
@@ -270,7 +267,7 @@ def _run_method(method: str, ls: LabeledSeries, grid: ExperimentGrid,
                 detect_seed: int) -> ChangePointSet:
     h = cell.window // 2
     n = grid.n
-    sigma = _cell_sigma(cell)
+    sigma = _design(ls.spec).sigma  # the clean noise scale of the series
 
     if method == "baseline":
         config = DetectionConfig(h=h, epsilon=0.0,
@@ -458,6 +455,7 @@ def phase_sweep(n: int, L: int, epsilon: float,
     if n % _check_int("L", L, 1) != 0 or n // L < 2:
         raise ValueError("L must divide n into at least 2 segments")
     _check_int("reps", reps, 1)
+    _check_int("master_seed", master_seed, 0, _UINT64_MAX)
     cell = functools.partial(_phase_kappa, n, L, epsilon, reps, master_seed)
     return _fan_out(cell, list(enumerate(kappa_grid)), threads)
 

@@ -90,6 +90,7 @@ def _check_real(label: str, value, low: float = 0.0, high: float = math.inf,
         return x
     rule = ("must be positive and finite" if (low, high, closed_low) ==
             (0.0, math.inf, False) else
+            "must be a finite real" if high == -low == math.inf else
             f"must lie in {'[' if closed_low else '('}{low:g}, {high:g})")
     raise error(f"{label} {rule}, not {value!r}")
 
@@ -510,8 +511,12 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        from .detector import LambdaPolicy  # detector imports this module
         object.__setattr__(self, "h", _check_int("h", self.h, 2))
         _check_real("epsilon", self.epsilon, 0.0, 0.5, closed_low=True)
+        if not isinstance(self.lambda_policy, LambdaPolicy):
+            raise ValueError(f"lambda_policy must be a lambda policy, not "
+                             f"{self.lambda_policy!r}")
         if self.delta is not None:
             _check_real("delta", self.delta, 0.0, 1.0)
         if self.sigma is not None:

@@ -365,6 +365,10 @@ def recommend_h(n: int, epsilon: float, kappa_over_sigma: float,
     """
     _check_real("epsilon", epsilon, 0.0, 0.5, closed_low=True)
     _check_int("n", n, 2)
+    # a ratio <= 0 is valid and admits no window
+    _check_real("kappa_over_sigma", kappa_over_sigma, -math.inf)
+    _check_real("C_prime", C_prime)
+    _check_real("C_lambda", C_lambda)
     log_n = math.log(n)
     r = kappa_over_sigma
     if epsilon <= 0.1:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -165,9 +165,12 @@ class AttackSpec:
         if hasattr(v, "epsilon"):
             _check_real("epsilon", v.epsilon, 0.0, 0.5, closed_low=True,
                         error=SpecInvalid)
-        for field in ("sigma", "frequency", "scale"):
+        for field, low in (("sigma", 0.0), ("frequency", 0.0), ("scale", 0.0),
+                           ("kappa", -math.inf), ("amplitude", -math.inf)):
             if hasattr(v, field):
-                _check_real(field, getattr(v, field), error=SpecInvalid)
+                _check_real(field, getattr(v, field), low, error=SpecInvalid)
+        for mean in getattr(v, "means", ()):
+            _check_real("means", mean, -math.inf, error=SpecInvalid)
         if isinstance(v, _BLOCK_VARIANTS):
             _check_int("blocks", v.blocks, 1, error=SpecInvalid)
             if self.n < 2 * v.blocks:
@@ -229,24 +232,6 @@ class LabeledSeries:
         object.__setattr__(self, "contaminated_mask", mask)
 
 
-def _span_bounds(n: int, blocks: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(half boundaries, full boundaries) as 1-based end positions."""
-    m = n / blocks
-    j = np.arange(1, blocks + 1)
-    half = np.floor((j - 0.5) * m).astype(np.int64)
-    full = np.floor(j * m).astype(np.int64)
-    return half, full
-
-
-def _first_half_mask(n: int, blocks: int) -> np.ndarray:
-    half, full = _span_bounds(n, blocks)
-    starts = np.concatenate(([0], full[:-1]))
-    out = np.zeros(n, dtype=bool)
-    for s, hb in zip(starts, half):
-        out[s:hb] = True
-    return out
-
-
 def _segment_means(n: int, cps: Sequence[int],
                    means: Sequence[float]) -> np.ndarray:
     bounds = [0, *cps, n]
@@ -259,8 +244,12 @@ def _ladder(k: int, kappa: float) -> Tuple[float, ...]:
 
 
 def _alternating_truth(n: int, blocks: int) -> Tuple[int, ...]:
-    half, full = _span_bounds(n, blocks)
-    return tuple(int(b) for b in np.sort(np.concatenate((half, full[:-1]))))
+    """Every half-span and span boundary but the last, as 1-based ends."""
+    m = n / blocks
+    j = np.arange(1, blocks + 1)
+    half = np.floor((j - 0.5) * m).astype(np.int64)
+    full = np.floor(j[:-1] * m).astype(np.int64)
+    return tuple(int(b) for b in np.sort(np.concatenate((half, full))))
 
 
 def _drift(v: Sine, n: int) -> np.ndarray:
@@ -269,51 +258,52 @@ def _drift(v: Sine, n: int) -> np.ndarray:
     return v.amplitude * np.sin(v.frequency * math.pi * t / n)
 
 
+class _Design(NamedTuple):
+    """How one family builds its series. The contamination is drawn from the
+    generator after the clean noise; the atom families draw nothing."""
+
+    mean: np.ndarray
+    sigma: float
+    contamination: Callable[[np.random.Generator], np.ndarray]
+    truth_f: Tuple[int, ...]
+    truth_ey: Tuple[int, ...]
+
+
+def _design(spec: AttackSpec) -> _Design:
+    """The design of every family but CorruptReal."""
+    v, n = spec.variant, spec.n
+    if isinstance(v, _BLOCK_VARIANTS):
+        steps = _alternating_truth(n, v.blocks)
+        first = np.repeat(np.arange(len(steps) + 1) % 2 == 0,
+                          np.diff((0, *steps, n)))  # first half of a span
+        if isinstance(v, Spurious):
+            atoms = np.where(first, -3.0, 3.0)
+            # at level zero the atoms never fire: the observation is flat
+            return _Design(np.zeros(n), v.sigma, lambda g: atoms, (),
+                           steps if v.epsilon > 0 else ())
+        atoms = np.where(first, v.kappa / (2.0 * v.epsilon),
+                         v.kappa * (1.0 - 1.0 / (2.0 * v.epsilon)))
+        return _Design(np.where(first, 0.0, v.kappa), 1.0, lambda g: atoms,
+                       steps, ())
+    if isinstance(v, CleanSteps):
+        mean = _segment_means(n, v.truth, v.means)
+        draw = lambda g: mean  # its mask is empty
+    else:
+        mean = _segment_means(n, v.truth, _ladder(len(v.truth), v.kappa))
+        draw = ((lambda g: _drift(v, n) + v.sigma * g.standard_normal(n))
+                if isinstance(v, Sine) else
+                (lambda g: v.scale * g.standard_cauchy(n)))
+    # the observation mean of Sine and Cauchy either drifts continuously or
+    # does not exist; only the clean steps are representable as change points
+    return _Design(mean, v.sigma, draw, v.truth, v.truth)
+
+
 def atom_profile(spec: AttackSpec) -> np.ndarray:
     """Deterministic contamination value per position (atom variants only)."""
-    v, n = spec.variant, spec.n
-    if isinstance(v, Spurious):
-        return np.where(_first_half_mask(n, v.blocks), -3.0, 3.0)
-    if isinstance(v, Hiding):
-        return np.where(_first_half_mask(n, v.blocks),
-                        v.kappa / (2.0 * v.epsilon),
-                        v.kappa * (1.0 - 1.0 / (2.0 * v.epsilon)))
-    raise SpecInvalid(
-        f"{type(v).__name__} contamination is not a deterministic atom")
-
-
-def _clean_profile(spec: AttackSpec) -> Tuple[np.ndarray, float]:
-    """(clean mean per position, clean sigma)."""
-    v, n = spec.variant, spec.n
-    if isinstance(v, Spurious):
-        return np.zeros(n), v.sigma
-    if isinstance(v, Hiding):
-        return np.where(_first_half_mask(n, v.blocks), 0.0, v.kappa), 1.0
-    if isinstance(v, (Sine, CauchyContam)):
-        return _segment_means(n, v.truth, _ladder(len(v.truth), v.kappa)), v.sigma
-    if isinstance(v, CleanSteps):
-        return _segment_means(n, v.truth, v.means), v.sigma
-    raise SpecInvalid(f"{type(v).__name__} has no clean profile")
-
-
-def _truths(spec: AttackSpec) -> Tuple[ChangePointSet, ChangePointSet]:
-    v, n = spec.variant, spec.n
-    if isinstance(v, Spurious):
-        # at level zero the atoms never fire and the observation mean is flat
-        ey = _alternating_truth(n, v.blocks) if v.epsilon > 0 else ()
-        return ChangePointSet((), n), ChangePointSet(ey, n)
-    if isinstance(v, Hiding):
-        return (ChangePointSet(_alternating_truth(n, v.blocks), n),
-                ChangePointSet((), n))
-    if isinstance(v, (Sine, CauchyContam)):
-        # observation mean either drifts continuously or does not exist;
-        # only the clean steps are representable as change points
-        t = ChangePointSet(tuple(v.truth), n)
-        return t, t
-    if isinstance(v, CleanSteps):
-        t = ChangePointSet(tuple(v.truth), n)
-        return t, t
-    return ChangePointSet((), n), ChangePointSet((), n)
+    if not isinstance(spec.variant, _BLOCK_VARIANTS):
+        raise SpecInvalid(f"{type(spec.variant).__name__} contamination is "
+                          "not a deterministic atom")
+    return _design(spec).contamination(None)
 
 
 def generate(spec: AttackSpec) -> LabeledSeries:
@@ -332,31 +322,21 @@ def generate(spec: AttackSpec) -> LabeledSeries:
                            replace=False)
             values[idx] = rule.value_in_scales * scale
             mask[idx] = True
-        truth_f = truth_ey = ChangePointSet((), n)
-        return LabeledSeries(TimeSeries(values), truth_f, truth_ey, mask,
-                             spec)
+        none = ChangePointSet((), n)
+        return LabeledSeries(TimeSeries(values), none, none, mask, spec)
 
-    clean_mean, sigma = _clean_profile(spec)
+    d = _design(spec)
     eps = getattr(v, "epsilon", 0.0)
     mask = (g.random(n) < eps) if eps > 0 else np.zeros(n, dtype=bool)
-    values = clean_mean + sigma * g.standard_normal(n)
-
-    if isinstance(v, (Spurious, Hiding)):
-        contam = atom_profile(spec)
-    elif isinstance(v, Sine):
-        contam = _drift(v, n) + v.sigma * g.standard_normal(n)
-    elif isinstance(v, CauchyContam):
-        contam = v.scale * g.standard_cauchy(n)
-    else:
-        contam = values
-    values = np.where(mask, contam, values)
-
-    truth_f, truth_ey = _truths(spec)
-    return LabeledSeries(TimeSeries(values), truth_f, truth_ey, mask, spec)
+    values = d.mean + d.sigma * g.standard_normal(n)
+    values = np.where(mask, d.contamination(g), values)
+    return LabeledSeries(TimeSeries(values), ChangePointSet(d.truth_f, n),
+                         ChangePointSet(d.truth_ey, n), mask, spec)
 
 
-PRESET_NAMES = ("spurious", "hiding", "sine", "cauchy", "clean",
-                "corrupt-beijing")
+_PRESET_FAMILIES = {"spurious": Spurious, "hiding": Hiding, "sine": Sine,
+                    "cauchy": CauchyContam, "clean": CleanSteps}
+PRESET_NAMES = (*_PRESET_FAMILIES, "corrupt-beijing")
 
 
 def _quarter_truth(n: int) -> Tuple[int, int, int]:
@@ -370,10 +350,13 @@ def build_preset(name: str, *, n: Optional[int] = None,
                  sigma: Optional[float] = None,
                  seed: int = 0,
                  base: Optional[Sequence[float]] = None) -> AttackSpec:
-    """Named generator configurations with standard defaults.
+    """Named generator configurations: n = 5000 for the block presets and
+    3000 for the step presets, whose changes sit at the quarters of n.
 
-    Unspecified parameters take the preset's defaults; `base` is required
-    by (and only by) corrupt-beijing.
+    A parameter left None takes the variant's default, except the block
+    presets' epsilon (0.1) and clean's kappa (5, the step of its 0 / kappa
+    means); one the variant lacks is ignored. `base` is required by (and
+    only by) corrupt-beijing.
     """
     if name not in PRESET_NAMES:
         raise SpecInvalid(
@@ -389,33 +372,18 @@ def build_preset(name: str, *, n: Optional[int] = None,
     if base is not None:
         raise SpecInvalid(f"preset {name!r} does not take a base series")
 
-    if name == "spurious":
+    family = _PRESET_FAMILIES[name]
+    given = dict(epsilon=epsilon, blocks=delta_blocks, kappa=kappa,
+                 sigma=sigma)
+    if family in _BLOCK_VARIANTS:
         nn = 5000 if n is None else n
-        v = Spurious(epsilon=0.1 if epsilon is None else epsilon,
-                     blocks=1 if delta_blocks is None else delta_blocks,
-                     sigma=1.0 if sigma is None else sigma)
-    elif name == "hiding":
-        nn = 5000 if n is None else n
-        v = Hiding(epsilon=0.1 if epsilon is None else epsilon,
-                   blocks=2 if delta_blocks is None else delta_blocks,
-                   kappa=1.0 if kappa is None else kappa)
-    elif name == "sine":
-        nn = 3000 if n is None else n
-        v = Sine(epsilon=0.2 if epsilon is None else epsilon,
-                 kappa=1.2 if kappa is None else kappa,
-                 sigma=1.0 if sigma is None else sigma,
-                 truth=_quarter_truth(nn))
-    elif name == "cauchy":
-        nn = 3000 if n is None else n
-        v = CauchyContam(epsilon=0.2 if epsilon is None else epsilon,
-                         kappa=1.2 if kappa is None else kappa,
-                         sigma=1.0 if sigma is None else sigma,
-                         truth=_quarter_truth(nn))
+        given["epsilon"] = 0.1 if epsilon is None else epsilon
     else:
         nn = 3000 if n is None else n
-        k = 5.0 if kappa is None else kappa
-        truth = _quarter_truth(nn)
-        v = CleanSteps(means=_ladder(len(truth), k),
-                       sigma=1.0 if sigma is None else sigma,
-                       truth=truth)
-    return AttackSpec(v, nn, seed)
+        truth = given["truth"] = _quarter_truth(nn)
+        if family is CleanSteps:
+            given["means"] = _ladder(len(truth),
+                                     5.0 if kappa is None else kappa)
+    accepted = {f.name for f in fields(family)}
+    return AttackSpec(family(**{k: x for k, x in given.items()
+                                if x is not None and k in accepted}), nn, seed)

@@ -408,6 +408,26 @@ class TestRejections:
             lambda_policy="theoretical", c_lambda=True), ValueError,
             "c_lambda must be positive and finite, not True",
             id="c_lambda_bool"),
+        # each of these failed only inside the first row, in a worker
+        # process under threads > 1
+        pytest.param(lambda: ExperimentGrid(
+            preset="spurious", n=1200, windows=(80,), reps=1,
+            master_seed=-1), ValueError,
+            "master_seed must fit in 64 unsigned bits, not -1",
+            id="grid_negative_master_seed"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="spurious", n=1, windows=(80,), reps=1), ValueError,
+            "n must be >= 2, not 1", id="grid_n_one"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="spurious", n=1200, windows=(80,), reps=1,
+            methods=("aarc",), training_points=1), ValueError,
+            "training_points must be >= 2, not 1",
+            id="grid_one_training_point"),
+        # with no kappa to run this returned [] before
+        pytest.param(lambda: phase_sweep(2000, 200, 0.1, (), 1,
+                                         master_seed=-1), ValueError,
+                     "master_seed must fit in 64 unsigned bits, not -1",
+                     id="phase_negative_master_seed"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

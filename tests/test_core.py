@@ -428,6 +428,11 @@ class TestRejections:
             h=10, epsilon="0.1", lambda_policy=ManualLambda(1.0)),
             ValueError, r"epsilon must lie in \[0, 0.5\), not '0.1'",
             id="epsilon_string"),
+        # an unknown policy passed here and failed inside detect
+        pytest.param(lambda: DetectionConfig(
+            h=10, epsilon=0.1, lambda_policy="sim"), ValueError,
+            "lambda_policy must be a lambda policy, not 'sim'",
+            id="policy_string"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

@@ -634,6 +634,22 @@ class TestRejections:
         pytest.param(lambda: ManualLambda("1"), ValueError,
                      "lambda must be positive and finite, not '1'",
                      id="manual_lambda_string"),
+        # a string ratio raised a bare TypeError, a NaN ratio or a bool
+        # constant returned a window, a zero C_lambda divided by zero
+        pytest.param(lambda: recommend_h(100, 0.1, "1"), ValueError,
+                     "kappa_over_sigma must be a finite real, not '1'",
+                     id="ratio_string"),
+        pytest.param(lambda: recommend_h(5000, 0.05, math.nan), ValueError,
+                     "kappa_over_sigma must be a finite real, not nan",
+                     id="ratio_nan"),
+        pytest.param(lambda: recommend_h(5000, 0.05, 1.0, C_prime=True),
+                     ValueError,
+                     "C_prime must be positive and finite, not True",
+                     id="c_prime_bool"),
+        pytest.param(lambda: recommend_h(5000, 0.3, 1.0, C_lambda=0.0),
+                     ValueError,
+                     "C_lambda must be positive and finite, not 0.0",
+                     id="c_lambda_zero"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):

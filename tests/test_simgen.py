@@ -1,12 +1,13 @@
 """Contamination generators: labels, masks, atoms, and mean structure."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arc_cpd.simgen import _clean_profile, _drift
+from arc_cpd.simgen import _design as _clean_profile, _drift
 from arc_cpd import (
     AttackSpec,
     CauchyContam,
@@ -14,6 +15,7 @@ from arc_cpd import (
     CorruptReal,
     CorruptionRule,
     Hiding,
+    PRESET_NAMES,
     Sine,
     SpecInvalid,
     Spurious,
@@ -313,6 +315,40 @@ class TestPresets:
             build_preset("hiding", base=(1.0, 2.0))
 
 
+# SHA-256 of the value bytes then the mask bytes, truth_f and truth_ey of
+# each preset at n = 1200 and seed 7; corrupt-beijing corrupts a fixed base
+_QUARTERS = (300, 600, 900)
+_PRESET_GOLDEN = {
+    "spurious": ("c9a737937bdf708f736fd9a6d5fda42d"
+                 "9192558346d236a48d25440c03bd8f1f", (), (600,)),
+    "hiding": ("882bdfc6b8683f79f4c9dccf90c1841f"
+               "252f21ba948b1a9d3dea229675f55d2a", _QUARTERS, ()),
+    "sine": ("af0dab63b78de7dbba60aeb80a12a29d"
+             "ed4598e80f167f1e9a2ad95065f87515", _QUARTERS, _QUARTERS),
+    "cauchy": ("a4c169357389f24247914ecc6d15fcb3"
+               "2805cdc2bbe51685e567027b6eae4b4b", _QUARTERS, _QUARTERS),
+    "clean": ("c81c650ca7968a37707efc99fa1508d1"
+              "cff474666985504e378bb0411d4fbd25", _QUARTERS, _QUARTERS),
+    "corrupt-beijing": ("b31f13e7f69acd7d0616d23f0cc00582"
+                        "fdf22b047e7044a7e8656f88dca1efe9", (), ()),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_golden(name):
+    if name == "corrupt-beijing":
+        g = substream(99, 0).generator()
+        spec = build_preset(name, seed=7,
+                            base=tuple(float(x) for x in g.normal(0, 2, 1200)))
+    else:
+        spec = build_preset(name, n=1200, seed=7)
+    ls = generate(spec)
+    digest = hashlib.sha256(ls.series.values.tobytes() +
+                            ls.contaminated_mask.tobytes()).hexdigest()
+    assert (digest, ls.truth_f.locations, ls.truth_ey.locations) == \
+        _PRESET_GOLDEN[name]
+
+
 class TestRejections:
     @pytest.mark.parametrize("call, error, match", [
         pytest.param(lambda: AttackSpec(Spurious(epsilon=0.1), 1, 0),
@@ -354,6 +390,30 @@ class TestRejections:
                                         100, 0),
                      SpecInvalid, "sigma must be positive",
                      id="clean_sigma"),
+        # kappa, amplitude and the means failed only inside generate or
+        # TimeSeries, or were taken as they came (a bool kappa)
+        pytest.param(lambda: AttackSpec(Hiding(epsilon=0.1, kappa="1"),
+                                        100, 0),
+                     SpecInvalid, "kappa must be a finite real, not '1'",
+                     id="hiding_kappa_string"),
+        pytest.param(lambda: AttackSpec(Hiding(epsilon=0.1, kappa=True),
+                                        100, 0),
+                     SpecInvalid, "kappa must be a finite real, not True",
+                     id="hiding_kappa_bool"),
+        pytest.param(lambda: AttackSpec(
+            CleanSteps(means=("a", 1.0), truth=(50,)), 100, 0),
+            SpecInvalid, "means must be a finite real, not 'a'",
+            id="clean_means_string"),
+        pytest.param(lambda: AttackSpec(Sine(amplitude=math.nan), 100, 0),
+                     SpecInvalid, "amplitude must be a finite real, not nan",
+                     id="sine_amplitude_nan"),
+        pytest.param(lambda: AttackSpec(Sine(kappa=math.inf), 100, 0),
+                     SpecInvalid, "kappa must be a finite real, not inf",
+                     id="sine_kappa_inf"),
+        pytest.param(lambda: AttackSpec(
+            CleanSteps(means=(math.inf, 1.0), truth=(50,)), 100, 0),
+            SpecInvalid, "means must be a finite real, not inf",
+            id="clean_means_inf"),
     ])
     def test_documented_rejection(self, call, error, match):
         with pytest.raises(error, match=match):
