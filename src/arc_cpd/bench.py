@@ -31,7 +31,7 @@ import multiprocessing
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -49,8 +49,8 @@ from .detector import (
 )
 from .metrics import hausdorff
 from .rume import auto_delta
-from .simgen import (AttackSpec, LabeledSeries, Sine, _design,
-                     build_preset, generate)
+from .simgen import (_PRESET_FAMILIES, AttackSpec, CleanSteps, LabeledSeries,
+                     Sine, _design, build_preset, generate)
 from .tune import TournamentConfig, select_epsilon
 
 __all__ = [
@@ -124,7 +124,9 @@ class ExperimentGrid:
     halved. explicit_cells, when given, replaces the cartesian product:
     a tuple of (epsilon, blocks, kappa, sigma, window) tuples. In every
     cell epsilon, kappa and sigma are real numbers or None, blocks is an
-    integer or None and window an integer; a bool is none of these.
+    integer or None and window an integer; a bool is none of these. The
+    preset is one of simgen's generated ones (corrupt-beijing needs a base
+    series), and a cell field its variant lacks must be None.
     """
 
     preset: str
@@ -143,6 +145,10 @@ class ExperimentGrid:
     explicit_cells: Optional[Tuple[Tuple, ...]] = None
 
     def __post_init__(self):
+        if not isinstance(self.preset, str) or \
+                self.preset not in _PRESET_FAMILIES:
+            raise ValueError(f"unknown grid preset {self.preset!r}; choose "
+                             f"from {', '.join(_PRESET_FAMILIES)}")
         for name in ("epsilons", "blocks", "kappas", "sigmas", "windows",
                      "methods", "explicit_cells"):
             value = getattr(self, name)
@@ -180,6 +186,20 @@ class ExperimentGrid:
                     name = (f"explicit_cells[{i}] {field}" if explicit
                             else f"{values} entry")
                     raise ValueError(f"{name} must be {kind}, not {value!r}")
+        # build_preset drops a value its variant has no field for (clean
+        # reads kappa as its step), so such a cell would report a value its
+        # series never saw; the window goes to the detectors
+        family = _PRESET_FAMILIES[self.preset]
+        reads = {f.name for f in fields(family)} | {"window"}
+        if family is CleanSteps:
+            reads.add("kappa")
+        for i, combo in enumerate(self._combos()):
+            for (field, values, _, _), value in zip(_CELL_FIELDS, combo):
+                if value is not None and field not in reads:
+                    name = (f"explicit_cells[{i}] {field}" if explicit
+                            else f"{values} entry")
+                    raise ValueError(f"{name} must be null for preset "
+                                     f"{self.preset!r}, not {value!r}")
 
     def _combos(self) -> Tuple[Tuple, ...]:
         if self.explicit_cells is not None:

@@ -24,7 +24,6 @@ from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d
 
 from .core import (
     ChangePointSet,
@@ -194,20 +193,37 @@ def _scan_arrays(series: TimeSeries,
     return np.abs(right_est - left_est), degenerate
 
 
+def _window_max(values: np.ndarray, half: int) -> np.ndarray:
+    """Max of values[max(0, j - half) : j + half + 1] at every index j.
+
+    The window is padded with replicas of the end values, which never
+    exceed an in-domain value, and its running max is built from spans of
+    1, 2, 4, ... up to the largest power of two within the window, then
+    read as two overlapping spans: O((n + half) log(half)) work and
+    O(n + half) memory.
+    """
+    n, size = values.size, 2 * half + 1
+    m = np.concatenate((np.full(half, values[0]), values,
+                        np.full(half, values[-1])))
+    span = 1
+    while 2 * span <= size:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:n], m[size - span:size - span + n])
+
+
 def _local_max_mask(values: np.ndarray, radius: int) -> np.ndarray:
     """Boolean mask of local maximizers with leftmost-of-tied-run rule.
 
     A maximizer dominates (weakly) every index at distance < radius. Within
     a maximal run of consecutive equal-valued maximizers only the first
-    index survives.
+    index survives. Every index sees the whole curve once the radius
+    reaches n, so the radius is clamped to n: a larger one gives the
+    radius-n answer, and work and memory stay O(n log n) and O(n).
     """
-    # window of size 2*radius-1 centered at each index covers exactly the
-    # open neighborhood; edge replication never exceeds in-domain values
-    filt = maximum_filter1d(values, size=2 * radius - 1, mode="nearest")
-    mask = values >= filt
-    if values.size > 1:
-        tied_prev = mask[1:] & mask[:-1] & (values[1:] == values[:-1])
-        mask[1:] &= ~tied_prev
+    mask = values >= _window_max(values, min(radius, values.size) - 1)
+    tied_prev = mask[1:] & mask[:-1] & (values[1:] == values[:-1])
+    mask[1:] &= ~tied_prev
     return mask
 
 
@@ -215,7 +231,8 @@ def local_maximizers(curve, radius: int) -> List[int]:
     """All indices dominating their open +-radius neighborhood.
 
     Accepts a mapping from contiguous integer indices to values, or a plain
-    sequence (then positions 0..len-1 are the indices).
+    sequence (then positions 0..len-1 are the indices). Every value must be
+    finite: a NaN or infinity raises ValueError naming its index.
     """
     _check_int("radius", radius, 1)
     if isinstance(curve, Mapping):
@@ -229,6 +246,10 @@ def local_maximizers(curve, radius: int) -> List[int]:
         offset = 0
     if values.size == 0:
         return []
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"curve value at index {int(bad[0]) + offset} is "
+                         f"not finite: {values[bad[0]]}")
     mask = _local_max_mask(values, radius)
     return [int(i) + offset for i in np.flatnonzero(mask)]
 

@@ -423,6 +423,49 @@ class TestRejections:
             methods=("aarc",), training_points=1), ValueError,
             "training_points must be >= 2, not 1",
             id="grid_one_training_point"),
+        # these failed with SpecInvalid inside the first row
+        pytest.param(lambda: ExperimentGrid(
+            preset="bogus", n=1200, windows=(80,), reps=1), ValueError,
+            "unknown grid preset 'bogus'; choose from spurious, hiding, "
+            "sine, cauchy, clean", id="grid_unknown_preset"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="corrupt-beijing", n=1200, windows=(80,), reps=1),
+            ValueError, "unknown grid preset 'corrupt-beijing'",
+            id="grid_preset_needs_base"),
+        # each of these ran, and its rows reported a value the preset had
+        # dropped
+        pytest.param(lambda: ExperimentGrid(
+            preset="hiding", n=1200, windows=(80,), reps=1, sigmas=(5.0,)),
+            ValueError, "sigmas entry must be null for preset 'hiding', "
+            "not 5.0", id="grid_hiding_sigma"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="spurious", n=1200, windows=(80,), reps=1,
+            kappas=(None, 2.0)), ValueError,
+            "kappas entry must be null for preset 'spurious', not 2.0",
+            id="grid_spurious_kappa"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="sine", n=1200, windows=(80,), reps=1, blocks=(2,)),
+            ValueError, "blocks entry must be null for preset 'sine'",
+            id="grid_sine_blocks"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="cauchy", n=1200, windows=(80,), reps=1, blocks=(2,)),
+            ValueError, "blocks entry must be null for preset 'cauchy'",
+            id="grid_cauchy_blocks"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="clean", n=1200, windows=(80,), reps=1,
+            epsilons=(0.1,), kappas=(3.0,)), ValueError,
+            "epsilons entry must be null for preset 'clean', not 0.1",
+            id="grid_clean_epsilon"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="clean", n=1200, windows=(80,), reps=1, blocks=(1,)),
+            ValueError, "blocks entry must be null for preset 'clean'",
+            id="grid_clean_blocks"),
+        pytest.param(lambda: ExperimentGrid(
+            preset="hiding", n=1200, reps=1,
+            explicit_cells=((0.1, 2, 1.0, None, 80),
+                            (0.1, 2, 1.0, 2.0, 80))), ValueError,
+            r"explicit_cells\[1\] sigma must be null for preset 'hiding', "
+            "not 2.0", id="grid_explicit_hiding_sigma"),
         # with no kappa to run this returned [] before
         pytest.param(lambda: phase_sweep(2000, 200, 0.1, (), 1,
                                          master_seed=-1), ValueError,

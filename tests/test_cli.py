@@ -229,6 +229,24 @@ class TestDetect:
         assert config["policy"] == policy
         assert config["maximizer_radius"] == radius
 
+    def test_radius_past_n_gives_the_radius_n_detections(self, tmp_path):
+        # the scipy filter this replaced exited 1 with a MemoryError
+        g = np.random.default_rng(4)
+        data = write_values(tmp_path / "steps.csv", g.normal(0, 1, 2000) +
+                            np.repeat([0.0, 3.0, 0.0], [700, 600, 700]))
+        found = []
+        for radius in ("2000", "1000000000"):
+            out = tmp_path / f"rep{radius}.json"
+            assert run(["detect", "--input", data, "--h", "50", "--epsilon",
+                        "0.05", "--delta", "0.05", "--sigma", "1",
+                        "--lambda", "2", "--maximizer-radius", radius,
+                        "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+            assert rep["config"]["maximizer_radius"] == int(radius)
+            found.append(rep["result"]["change_points"])
+        assert len(found[0]) == 1
+        assert found[1] == found[0]
+
     def test_dump_curve_needs_single_run(self, gaussian_file, tmp_path):
         assert run(["detect", "--input", gaussian_file, "--h", "60",
                     "--epsilon", "0.1", "--sigma", "1", "--runs", "3",
@@ -504,6 +522,9 @@ class TestBench:
         ("sigmas", [True],
          "sigmas entry must be a real number or null, not True"),
         ("c_lambda", "2", "c_lambda must be positive and finite, not '2'"),
+        ("preset", "bogus", "unknown grid preset 'bogus'"),
+        ("kappas", [2.0],
+         "kappas entry must be null for preset 'spurious', not 2.0"),
     ])
     def test_wrong_typed_grid_field_exits_2(self, field, value, message,
                                             tmp_path, capsys):

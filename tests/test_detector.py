@@ -252,6 +252,27 @@ class TestLocalMaximizers:
             assert local_maximizers(values, radius) == \
                 brute_local_max(values, radius)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_window_max_matches_clipped_brute_force(self, data):
+        fmax = np.finfo(np.float64).max
+        values = np.asarray(data.draw(st.lists(st.one_of(
+            st.integers(-3, 3).map(float),
+            st.sampled_from([-0.0, 0.0, fmax, -fmax]),
+            st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=200)))
+        # window sizes 2 * half + 1 run over the odd numbers 1 .. 2n + 5
+        half = data.draw(st.integers(0, values.size + 2))
+        expected = [values[max(0, j - half):j + half + 1].max()
+                    for j in range(values.size)]
+        assert np.array_equal(detector._window_max(values, half), expected)
+
+    @pytest.mark.parametrize("radius", [4, 10**9, 2**62])
+    def test_radius_past_n_sees_the_whole_curve(self, radius):
+        # the scipy filter this replaced ran out of memory at 10**9 and
+        # kept every index at 2**62
+        assert local_maximizers([1.0, 3.0, 2.0, 3.0], radius) == [1, 3]
+
     def test_noncontiguous_mapping_rejected(self):
         with pytest.raises(ValueError):
             local_maximizers({1: 1.0, 3: 2.0}, 2)
@@ -286,6 +307,18 @@ class TestDetect:
         rep = detect(TimeSeries(g.normal(0, 1, 1000)), cfg)
         assert max(rep.scan_curve.values()) <= 50.0
         assert rep.estimated.k == 0
+
+    def test_radius_past_n_gives_the_radius_n_report(self):
+        # the scipy filter this replaced peaked at about 210 MiB here
+        g = np.random.default_rng(4)
+        x = g.normal(0, 1, 2000) + np.repeat([0.0, 3.0, 0.0], [700, 600, 700])
+        cfg = DetectionConfig(h=50, epsilon=0.05, delta=0.05,
+                              lambda_policy=ManualLambda(2.0), sigma=1.0)
+        reports = [detect(TimeSeries(x), replace(cfg, maximizer_radius=r))
+                   for r in (None, 2000, 10**7)]
+        assert reports[0].estimated.k == 2
+        assert reports[1].estimated.k == 1
+        assert reports[2] == reports[1]
 
     def test_infeasible_config_raises_with_scan_index(self):
         cfg = DetectionConfig(h=20, epsilon=0.2,
@@ -624,6 +657,13 @@ class TestRejections:
             DetectionConfig(h=10, epsilon=0.1,
                             lambda_policy=ManualLambda(1.0)), runs=0),
             ValueError, "runs must be >= 1", id="zero_runs"),
+        # a NaN was skipped by the scipy filter: [1, 4] came back
+        pytest.param(lambda: local_maximizers(
+            [0.0, 3.0, math.nan, 1.0, 5.0, 2.0, 0.0], 2), ValueError,
+            "curve value at index 2 is not finite: nan", id="curve_nan"),
+        pytest.param(lambda: local_maximizers({5: 1.0, 6: -math.inf}, 2),
+                     ValueError, "curve value at index 6 is not finite: -inf",
+                     id="curve_mapping_inf"),
         pytest.param(lambda: recommend_h(5000, 0.5, 1.0), ValueError,
                      r"epsilon must lie in \[0, 0.5\)", id="epsilon_half"),
         pytest.param(lambda: recommend_h(1, 0.1, 1.0), ValueError,
